@@ -47,7 +47,6 @@ from .solver import (
     SolverConfig,
     apply_flips,
     compute_delta,
-    iteration_accuracy,
     load_config_document,
     load_config_file,
     map_problem,

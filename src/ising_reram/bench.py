@@ -11,19 +11,17 @@ iterative reprogramming), inference energy, and SAT verdict rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from .cnf import Clause, Cnf
 from .device import DeviceConfig, new_crossbar
-from .ising import build_graph, kernel_decompose
-from .solver import RunReport, SolverConfig, run
-from .util import derive_seed
+from .ising import adjacency_matrix, build_graph, kernel_decompose
+from .solver import RunReport, SolverConfig, map_problem, random_spins, run
+from .util import derive_seed, field_dict, substream
 
 OVERALL_LABEL = "Overall"
-
-KERNEL_CSV_HEADER = "kernel,phase,mean_nj,std_nj,samples"
-SUITE_CSV_HEADER = "instance,iter_acc,exec_energy_nj,infer_energy_nj,sat_rate"
 
 
 def paper_instances() -> dict[str, Cnf]:
@@ -41,6 +39,10 @@ class BenchSuite:
     instances: tuple[tuple[str, Cnf], ...]
     runs: int = 10
     iters: int = 10
+
+    def __post_init__(self) -> None:
+        if self.runs < 1 or self.iters < 1:
+            raise ValueError(f"runs and iters must be >= 1, got {self.runs} and {self.iters}")
 
 
 def paper_suite(runs: int = 10, iters: int = 10) -> BenchSuite:
@@ -132,6 +134,18 @@ def _suite_run(
     return run(cnf, device_config, cfg)
 
 
+def _accuracy_row(label: str, reports: list[RunReport]) -> AccuracyRow:
+    """Pooled iteration accuracy and mean energies/SAT rate over some solves."""
+    traces = [tr for report in reports for restart in report.traces for tr in restart]
+    return AccuracyRow(
+        instance=label,
+        iter_acc=sum(tr.iteration_accurate for tr in traces) / len(traces),
+        exec_energy_nj=float(np.mean([r.totals["execute_energy_nj"] for r in reports])),
+        infer_energy_nj=float(np.mean([r.totals["inference_energy_nj"] for r in reports])),
+        sat_rate=float(np.mean([r.verdict == "SAT" for r in reports])),
+    )
+
+
 def run_suite(
     suite: BenchSuite,
     device_config: DeviceConfig,
@@ -144,54 +158,19 @@ def run_suite(
     array with fresh random spins, mirroring independent hardware tests.
     """
     rows: list[AccuracyRow] = []
-    pooled_good = pooled_total = 0
-    pooled_exec: list[float] = []
-    pooled_infer: list[float] = []
-    pooled_sat: list[bool] = []
+    every: list[RunReport] = []
     for idx, (label, cnf) in enumerate(suite.instances):
-        good = total = 0
-        execs: list[float] = []
-        infers: list[float] = []
-        sats: list[bool] = []
-        for run_idx in range(suite.runs):
-            report = _suite_run(
+        reports = [
+            _suite_run(
                 cnf, device_config, solver_config, suite.iters,
                 derive_seed(seed, idx, run_idx),
             )
-            for traces in report.traces:
-                good += sum(tr.iteration_accurate for tr in traces)
-                total += len(traces)
-            execs.append(report.totals["execute_energy_nj"])
-            infers.append(report.totals["inference_energy_nj"])
-            sats.append(report.verdict == "SAT")
-        rows.append(
-            AccuracyRow(
-                instance=label,
-                iter_acc=good / total,
-                exec_energy_nj=float(np.mean(execs)),
-                infer_energy_nj=float(np.mean(infers)),
-                sat_rate=float(np.mean(sats)),
-            )
-        )
-        pooled_good += good
-        pooled_total += total
-        pooled_exec.extend(execs)
-        pooled_infer.extend(infers)
-        pooled_sat.extend(sats)
-    rows.append(
-        AccuracyRow(
-            instance=OVERALL_LABEL,
-            iter_acc=pooled_good / pooled_total,
-            exec_energy_nj=float(np.mean(pooled_exec)),
-            infer_energy_nj=float(np.mean(pooled_infer)),
-            sat_rate=float(np.mean(pooled_sat)),
-        )
-    )
+            for run_idx in range(suite.runs)
+        ]
+        rows.append(_accuracy_row(label, reports))
+        every.extend(reports)
+    rows.append(_accuracy_row(OVERALL_LABEL, every))
     return rows
-
-
-def _kernel_means(rows: list[KernelEnergyRow]) -> dict[tuple[str, str], float]:
-    return {(row.kernel, row.phase): row.mean_nj for row in rows}
 
 
 def sublinearity_check(
@@ -206,9 +185,10 @@ def sublinearity_check(
 
     The prediction composes the instance from kernel energies measured with
     shortcut writes disabled (every write is a full nominal swing): one core
-    initialization per clause, one inconn initialization per coupled clause
-    pair, and per executed node flip one core column flip plus one inconn
-    column flip per conflict edge of that node.  The measured value is the
+    initialization per clause, two inconn initializations per coupled clause
+    pair (the symmetric adjacency matrix holds both off-diagonal blocks), and
+    per executed node flip one core column flip plus one inconn column flip
+    per conflict edge of that node.  The measured value is the
     execute energy of an actual run under the given device config, so with the
     default shortcut model the measurement comes in below the prediction,
     and with shortcut writes disabled the two agree up to write noise.
@@ -218,10 +198,6 @@ def sublinearity_check(
     solver_config = solver_config or SolverConfig()
     graph = build_graph(instance)
     if iters == 0:
-        from .ising import adjacency_matrix
-        from .solver import map_problem, random_spins
-        from .util import substream
-
         xb = new_crossbar(device_config, derive_seed(seed, 0xF11, 1))
         spins = random_spins(graph.num_nodes, substream(seed, 0xF11, 0))
         map_problem(adjacency_matrix(graph), spins, xb)
@@ -238,10 +214,11 @@ def sublinearity_check(
 
     profile = kernel_decompose(graph)
     full_swing = replace(device_config, shortcut_writes=False)
-    means = _kernel_means(kernel_energy_report(full_swing, kernel_trials, derive_seed(seed, 0xF12)))
+    rows = kernel_energy_report(full_swing, kernel_trials, derive_seed(seed, 0xF12))
+    means = {(row.kernel, row.phase): row.mean_nj for row in rows}
     prediction = profile.core_count * means[("core", "initialize")]
     for count, pairs in profile.inconn_histogram.items():
-        prediction += pairs * means[(f"{count}-inconn", "initialize")]
+        prediction += 2 * pairs * means[(f"{count}-inconn", "initialize")]
     inconn_flip = float(
         np.mean([means[(f"{k}-inconn", "program-iteration")] for k in (1, 2, 3)])
     )
@@ -252,44 +229,25 @@ def sublinearity_check(
     return measured, float(prediction)
 
 
-def kernel_report_csv(rows: list[KernelEnergyRow]) -> str:
-    lines = [KERNEL_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.kernel},{row.phase},{row.mean_nj!r},{row.std_nj!r},{row.samples}"
-        )
+def rows_to_csv(cls: type, rows: list) -> str:
+    """CSV of dataclass rows: a header of field names, one line per row."""
+    lines = [",".join(get_type_hints(cls))]
+    lines += [",".join(str(v) for v in field_dict(row).values()) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def rows_from_csv(cls: type, text: str) -> list:
+    """Inverse of :func:`rows_to_csv`; each value is parsed by its field type."""
+    header, *lines = text.strip().splitlines()
+    types = get_type_hints(cls)
+    if header != ",".join(types):
+        raise ValueError(f"unexpected {cls.__name__} CSV header: {header!r}")
+    return [cls(*(t(v) for t, v in zip(types.values(), line.split(",")))) for line in lines]
+
+
+def kernel_report_csv(rows: list[KernelEnergyRow]) -> str:
+    return rows_to_csv(KernelEnergyRow, rows)
 
 
 def suite_report_csv(rows: list[AccuracyRow]) -> str:
-    lines = [SUITE_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.instance},{row.iter_acc!r},{row.exec_energy_nj!r},"
-            f"{row.infer_energy_nj!r},{row.sat_rate!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_kernel_csv(text: str) -> list[KernelEnergyRow]:
-    lines = text.strip().splitlines()
-    if lines[0] != KERNEL_CSV_HEADER:
-        raise ValueError(f"unexpected kernel CSV header: {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        kernel, phase, mean_nj, std_nj, samples = line.split(",")
-        rows.append(KernelEnergyRow(kernel, phase, float(mean_nj), float(std_nj), int(samples)))
-    return rows
-
-
-def parse_suite_csv(text: str) -> list[AccuracyRow]:
-    lines = text.strip().splitlines()
-    if lines[0] != SUITE_CSV_HEADER:
-        raise ValueError(f"unexpected suite CSV header: {lines[0]!r}")
-    rows = []
-    for line in lines[1:]:
-        instance, iter_acc, exec_nj, infer_nj, sat_rate = line.split(",")
-        rows.append(
-            AccuracyRow(instance, float(iter_acc), float(exec_nj), float(infer_nj), float(sat_rate))
-        )
-    return rows
+    return rows_to_csv(AccuracyRow, rows)

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .bench import (
@@ -87,8 +88,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.cnf_file, "r", encoding="utf-8") as handle:
                 cnf = parse_dimacs(handle.read())
             device_cfg, solver_cfg = _load_configs(args.config)
-            from dataclasses import replace
-
             solver_cfg = replace(solver_cfg, seed=_resolve_seed(args.seed))
             report = run(cnf, device_cfg, solver_cfg)
             _write_text(args.report, report_to_json(report))

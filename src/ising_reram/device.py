@@ -23,7 +23,6 @@ noise, no retention drift.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -31,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import substream
+from .util import field_dict, from_mapping, substream
 
 # Anchors (uS, nJ); steep tails between the nominal points and the window
 # boundaries carry the worst-case swing, the shallow mid-section keeps
@@ -127,35 +126,11 @@ class DeviceConfig:
         return CellState.INDETERMINATE
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "g_state0": self.g_state0,
-            "g_state1": self.g_state1,
-            "tolerance": self.tolerance,
-            "p_cell_success": self.p_cell_success,
-            "miss_spread": self.miss_spread,
-            "energy_curve": [list(point) for point in self.energy_curve],
-            "energy_noise_sigma": self.energy_noise_sigma,
-            "v_read": self.v_read,
-            "t_read": self.t_read,
-            "shortcut_writes": self.shortcut_writes,
-        }
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeviceConfig":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
-        if unknown:
-            raise DeviceConfigError(f"unknown device config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "energy_curve" in kwargs:
-            kwargs["energy_curve"] = tuple(tuple(p) for p in kwargs["energy_curve"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeviceConfig":
-        return cls.from_dict(json.loads(text))
+        return from_mapping(cls, data, DeviceConfigError)
 
 
 @dataclass(frozen=True)
@@ -201,13 +176,6 @@ class EnergyLedger:
 
     def total_nj(self) -> float:
         return sum(self._totals.values())
-
-    def summary(self) -> dict:
-        return {
-            "init_energy_nj": self.init_energy_nj,
-            "program_energy_nj": self.program_energy_nj,
-            "inference_energy_nj": self.inference_energy_nj,
-        }
 
 
 class Crossbar:

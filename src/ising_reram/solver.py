@@ -19,7 +19,7 @@ random threshold q = -T * ln(u).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .ising import (
     build_graph,
     decode_solution,
 )
-from .util import derive_seed, substream
+from .util import derive_seed, field_dict, from_mapping, substream
 
 
 class MappingError(ValueError):
@@ -45,17 +45,15 @@ class CrossbarMapping:
     """Node-to-array layout: node j lives on row j and column pair (2j, 2j+1)."""
 
     num_nodes: int
-    row_offset: int = 0
-    col_offset: int = 0
 
     def row(self, node: int) -> int:
-        return self.row_offset + node
+        return node
 
     def col_neg(self, node: int) -> int:
-        return self.col_offset + 2 * node
+        return 2 * node
 
     def col_pos(self, node: int) -> int:
-        return self.col_offset + 2 * node + 1
+        return 2 * node + 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,8 @@ class SolverConfig:
     alpha: float = 0.95             # geometric cooling factor
     max_iters: int = 100
     restarts: int = 10
-    hamiltonian: HamiltonianParams = field(default_factory=HamiltonianParams)
+    a_pen: float = 2.0              # penalty weights, see HamiltonianParams
+    b_pen: float = 1.0
     seed: int = 0
     profile_iterations: bool = False  # run every iteration, no early exit
 
@@ -79,35 +78,18 @@ class SolverConfig:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.control_f not in ("min", "max"):
             raise ValueError(f"control_f must be 'min' or 'max', got {self.control_f!r}")
+        HamiltonianParams(self.a_pen, self.b_pen)  # raises unless a_pen > b_pen > 0
+
+    @property
+    def hamiltonian(self) -> HamiltonianParams:
+        return HamiltonianParams(self.a_pen, self.b_pen)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "control_f": self.control_f,
-            "t0": self.t0,
-            "alpha": self.alpha,
-            "max_iters": self.max_iters,
-            "restarts": self.restarts,
-            "a_pen": self.hamiltonian.a_pen,
-            "b_pen": self.hamiltonian.b_pen,
-            "seed": self.seed,
-            "profile_iterations": self.profile_iterations,
-        }
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolverConfig":
-        data = dict(data)
-        a_pen = data.pop("a_pen", None)
-        b_pen = data.pop("b_pen", None)
-        known = set(cls.__dataclass_fields__) - {"hamiltonian"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        params = HamiltonianParams(
-            a_pen=a_pen if a_pen is not None else 2.0,
-            b_pen=b_pen if b_pen is not None else 1.0,
-        )
-        return cls(hamiltonian=params, **data)
+        return from_mapping(cls, data, ValueError)
 
 
 def load_config_document(doc: dict) -> tuple[DeviceConfig, SolverConfig]:
@@ -115,6 +97,8 @@ def load_config_document(doc: dict) -> tuple[DeviceConfig, SolverConfig]:
 
     Both sections are optional and fall back to defaults.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"config document must be a JSON object, got {type(doc).__name__}")
     device = DeviceConfig.from_dict(doc.get("device", {}))
     solver = SolverConfig.from_dict(doc.get("solver", {}))
     return device, solver
@@ -137,19 +121,6 @@ class IterationTrace:
     program_energy_nj: float
     inference_energy_nj: float
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "delta": list(self.delta),
-            "q": self.q,
-            "flipped": list(self.flipped),
-            "cells_targeted": self.cells_targeted,
-            "cells_correct": self.cells_correct,
-            "iteration_accurate": self.iteration_accurate,
-            "program_energy_nj": self.program_energy_nj,
-            "inference_energy_nj": self.inference_energy_nj,
-        }
-
 
 @dataclass
 class RunReport:
@@ -165,18 +136,9 @@ class RunReport:
     sat_iteration: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "assignment": list(self.assignment) if self.assignment is not None else None,
-            "final_spins": list(self.final_spins),
-            "traces": [[tr.to_dict() for tr in restart] for restart in self.traces],
-            "totals": dict(self.totals),
-            "iteration_accuracy": self.iteration_accuracy,
-            "cell_write_accuracy": self.cell_write_accuracy,
-            "restarts_executed": self.restarts_executed,
-            "sat_restart": self.sat_restart,
-            "sat_iteration": self.sat_iteration,
-        }
+        out = field_dict(self)
+        out["traces"] = [[field_dict(tr) for tr in restart] for restart in self.traces]
+        return out
 
 
 def report_to_json(report: RunReport) -> str:
@@ -188,13 +150,7 @@ def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:
     return (2 * rng.integers(0, 2, size=num_nodes) - 1).astype(np.int64)
 
 
-def map_problem(
-    adj: np.ndarray,
-    spins: Sequence[int],
-    xb: Crossbar,
-    row_offset: int = 0,
-    col_offset: int = 0,
-) -> CrossbarMapping:
+def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> CrossbarMapping:
     """Program the spin-signed adjacency matrix into the array (tag "init").
 
     Column j carries adj(i, j) * s_j in its differential pair; zero entries
@@ -204,12 +160,12 @@ def map_problem(
     n = adj.shape[0]
     if adj.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
-    if row_offset + n > xb.config.rows or col_offset + 2 * n > xb.config.cols:
+    if n > xb.config.rows or 2 * n > xb.config.cols:
         raise MappingError(
             f"{n} nodes need {n} rows and {2 * n} columns; device is "
             f"{xb.config.rows}x{xb.config.cols} (multi-tile operation unsupported)"
         )
-    mapping = CrossbarMapping(n, row_offset, col_offset)
+    mapping = CrossbarMapping(n)
     spins = np.asarray(spins)
     for j in range(n):
         sign = int(spins[j])
@@ -239,7 +195,7 @@ def compute_delta(
     degrees = np.asarray(degrees, dtype=np.int64)
     n = mapping.num_nodes
     drive = np.zeros(xb.config.rows, dtype=np.int64)
-    drive[mapping.row_offset : mapping.row_offset + n] = spins
+    drive[:n] = spins
     currents = xb.read_columns(drive, tag=tag)
     pos = currents[[mapping.col_pos(j) for j in range(n)]]
     neg = currents[[mapping.col_neg(j) for j in range(n)]]
@@ -266,7 +222,7 @@ def q_unit(
         return 0.0
     sigma = float(np.std(prior_delta)) if prior_delta is not None else 0.0
     if sigma <= 0.0:
-        sigma = config.hamiltonian.b_pen
+        sigma = config.b_pen
     temperature = config.t0 * (config.alpha ** t) * sigma
     u = 1.0 - rng.random()  # uniform on (0, 1]
     return float(-temperature * np.log(u))
@@ -325,8 +281,7 @@ def _mapped_pattern_ok(
 ) -> bool:
     """Do all mapped cells classify as the expected spin-signed pattern?"""
     n = mapping.num_nodes
-    r0, c0 = mapping.row_offset, mapping.col_offset
-    states = xb.classify_grid()[r0 : r0 + n, c0 : c0 + 2 * n]
+    states = xb.classify_grid()[:n, : 2 * n]
     weights = adj * spins[np.newaxis, :]
     expect_pos = np.where(weights == 1, int(CellState.STATE1), int(CellState.STATE0))
     expect_neg = np.where(weights == -1, int(CellState.STATE1), int(CellState.STATE0))
@@ -428,11 +383,3 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         sat_iteration=sat_iteration,
     )
 
-
-def iteration_accuracy(report: RunReport) -> float:
-    """Accurate iterations over total iterations, across every restart."""
-    total = sum(len(traces) for traces in report.traces)
-    if total == 0:
-        raise ValueError("report contains no iterations")
-    good = sum(tr.iteration_accurate for traces in report.traces for tr in traces)
-    return good / total

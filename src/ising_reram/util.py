@@ -1,4 +1,4 @@
-"""Seed derivation helpers.
+"""Seed derivation and dataclass serialization helpers.
 
 All randomness in the package flows through numpy Generators built from
 SeedSequence keys, so that any (seed, purpose) pair maps to one reproducible
@@ -6,6 +6,8 @@ stream and parallel consumers never share state.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -25,3 +27,40 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def derive_seed(seed: int, *key: int) -> int:
     """Collapse (seed, *key) to a plain 64-bit integer seed."""
     return int(seed_sequence(seed, *key).generate_state(1, np.uint64)[0])
+
+
+def field_dict(obj) -> dict:
+    """Shallow ``{field name: value}`` dict of a dataclass instance."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _matches(value, default) -> bool:
+    """Does a decoded JSON value have the kind of a field's default?"""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_matches(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
+def from_mapping(cls, data, error: type[ValueError]):
+    """Build dataclass ``cls`` from a decoded JSON object.
+
+    Keys must be field names and values must have the kind of the field's
+    default (an int where an int is expected, a number for a float, a list of
+    the default's items for a tuple); anything else raises ``error``.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{cls.__name__} section must be a JSON object, got {type(data).__name__}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(data) - set(defaults)
+    if unknown:
+        raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for key, value in data.items():
+        if not _matches(value, defaults[key]):
+            raise error(f"{cls.__name__}.{key} has the wrong type: {value!r}")
+    return cls(**data)

@@ -12,13 +12,15 @@ from ising_reram import (
     kernel_energy_report,
     paper_instances,
     paper_suite,
+    random_3sat,
     run_suite,
     sublinearity_check,
 )
 from ising_reram.bench import (
+    AccuracyRow,
+    KernelEnergyRow,
     kernel_report_csv,
-    parse_kernel_csv,
-    parse_suite_csv,
+    rows_from_csv,
     suite_report_csv,
 )
 from ising_reram.cli import main
@@ -62,7 +64,7 @@ def test_kernel_flip_ratio_structural():
 
 def test_kernel_csv_round_trip():
     rows = kernel_energy_report(DeviceConfig(), trials=3, seed=2)
-    assert parse_kernel_csv(kernel_report_csv(rows)) == rows
+    assert rows_from_csv(KernelEnergyRow, kernel_report_csv(rows)) == rows
 
 
 def test_run_suite_rows_and_determinism():
@@ -74,7 +76,7 @@ def test_run_suite_rows_and_determinism():
     for row in rows1:
         assert 0.0 <= row.iter_acc <= 1.0
         assert 0.0 <= row.sat_rate <= 1.0
-    assert parse_suite_csv(suite_report_csv(rows1)) == rows1
+    assert rows_from_csv(AccuracyRow, suite_report_csv(rows1)) == rows1
 
 
 def test_run_suite_ideal_accuracy_is_one():
@@ -120,6 +122,20 @@ def test_sublinearity_zero_iterations_is_init_only():
         ]
     )
     assert measured == pytest.approx(2 * core_init, rel=0.2)
+
+
+@pytest.mark.parametrize("m", [8, 40])
+def test_sublinearity_init_prediction_beyond_two_clauses(m):
+    # Both off-diagonal blocks of every coupled clause pair are written, so a
+    # full-swing initialization must match the additive prediction at any size.
+    device = DeviceConfig(rows=3 * m, cols=6 * m, shortcut_writes=False)
+    ratios = []
+    for seed in range(3):
+        measured, predicted = sublinearity_check(
+            random_3sat(max(3, m // 3), m, seed), device, seed=seed, iters=0
+        )
+        ratios.append(measured / predicted)
+    assert abs(np.mean(ratios) - 1.0) < 0.15
 
 
 def test_cli_gen_deterministic(capsys):
@@ -172,6 +188,35 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    for count in ("--runs", "--iters"):
+        assert main(["bench", count, "0"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"device": {"rows": 40.5, "cols": 80}},
+        {"device": {"energy_curve": 5}},
+        {"device": {"shortcut_writes": 1}},
+        {"device": [1, 2]},
+        {"solver": {"k": "2"}},
+        {"solver": {"kk": 2}},
+        {"solver": {"a_pen": 1.0, "b_pen": 2.0}},
+        [1, 2],
+    ],
+    ids=[
+        "float-rows", "scalar-curve", "int-for-bool", "list-section",
+        "string-k", "unknown-solver-key", "bad-penalties", "list-document",
+    ],
+)
+def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc):
+    cnf_path = tmp_path / "three_x.cnf"
+    cnf_path.write_text(emit_dimacs(three_x))
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["solve", str(cnf_path), "--config", str(config_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_bench_and_kernels_byte_identical(tmp_path, capsys):

@@ -210,7 +210,7 @@ def test_snapshot_csv():
 
 def test_config_json_round_trip():
     cfg = DeviceConfig(rows=8, cols=12, p_cell_success=0.97)
-    restored = DeviceConfig.from_json(json.dumps(cfg.to_dict()))
+    restored = DeviceConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert restored == cfg
 
 

@@ -14,7 +14,6 @@ from ising_reram import (
     delta_oracle,
     graph_from_edges,
     hamiltonian_energy,
-    iteration_accuracy,
     load_config_document,
     map_problem,
     new_crossbar,
@@ -308,7 +307,7 @@ def test_run_report_energy_traceability(three_x):
 def test_iteration_accuracy_ideal_is_one(three_x):
     device = exact_device(rows=8, cols=12)
     report = run(three_x, device, SolverConfig(seed=3))
-    assert iteration_accuracy(report) == 1.0
+    assert report.iteration_accuracy == 1.0
     assert report.cell_write_accuracy == 1.0
 
 
