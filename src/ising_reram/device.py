@@ -19,6 +19,11 @@ Reads drive rows at +/-v_read and sum per-column currents; read energy
 (V^2 * G * t over driven cells) accrues to the ledger separately from writes.
 The 2T-1R cell is modeled as an ideal selector: no sneak paths, no read
 noise, no retention drift.
+
+``Crossbar.state`` is the sensed grid: the window classification of every
+cell, kept up to date by ``program_cell`` and ``inject_fault`` so that reading
+it costs no pass over ``conductance``.  Assigning to ``conductance`` directly
+bypasses it.
 """
 
 from __future__ import annotations
@@ -89,7 +94,15 @@ class DeviceConfig:
             raise DeviceConfigError(
                 "state windows overlap: need g_state1 - tolerance > g_state0 + tolerance"
             )
-        curve = tuple((float(g), float(e)) for g, e in self.energy_curve)
+        curve = []
+        for point in self.energy_curve:
+            try:
+                g, e = point
+                curve.append((float(g), float(e)))
+            except (TypeError, ValueError):
+                raise DeviceConfigError(
+                    f"energy_curve point {point!r} is not a pair of numbers"
+                ) from None
         if len(curve) < 2:
             raise DeviceConfigError("energy_curve needs at least two points")
         gs = [g for g, _ in curve]
@@ -98,7 +111,7 @@ class DeviceConfig:
             raise DeviceConfigError("energy_curve must be strictly increasing")
         if gs[0] > 0.0 or gs[-1] < self.g_state1 + self.tolerance:
             raise DeviceConfigError("energy_curve must span the operating range")
-        object.__setattr__(self, "energy_curve", curve)
+        object.__setattr__(self, "energy_curve", tuple(curve))
 
     @cached_property
     def _curve_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,12 +131,23 @@ class DeviceConfig:
     def nominal(self, state: CellState) -> float:
         return self.g_state0 if state == CellState.STATE0 else self.g_state1
 
-    def classify_value(self, conductance: float) -> CellState:
-        for state in (CellState.STATE0, CellState.STATE1):
-            lo, hi = self.window(state)
+    @cached_property
+    def _targets(self) -> dict[int, tuple[float, float, float]]:
+        """(window low, window high, nominal) per writable state, as plain floats."""
+        return {
+            int(state): (*map(float, self.window(state)), float(self.nominal(state)))
+            for state in (CellState.STATE0, CellState.STATE1)
+        }
+
+    def _sense(self, conductance: float) -> int:
+        """Window classification of one conductance as a plain CellState int."""
+        for state, (lo, hi, _) in self._targets.items():
             if lo <= conductance <= hi:
                 return state
-        return CellState.INDETERMINATE
+        return int(CellState.INDETERMINATE)
+
+    def classify_value(self, conductance: float) -> CellState:
+        return CellState(self._sense(conductance))
 
     def to_dict(self) -> dict:
         return field_dict(self)
@@ -188,6 +212,7 @@ class Crossbar:
     def __init__(self, config: DeviceConfig, seed: int) -> None:
         self.config = config
         self.conductance = np.full((config.rows, config.cols), config.g_state0, dtype=float)
+        self.state = np.full(self.conductance.shape, int(CellState.STATE0), dtype=np.int8)
         self.rng = substream(seed, 0xC3)
         self.ledger = EnergyLedger()
 
@@ -199,17 +224,11 @@ class Crossbar:
 
     def classify(self, row: int, col: int) -> CellState:
         self._check_coords(row, col)
-        return self.config.classify_value(float(self.conductance[row, col]))
+        return CellState(self.state.item(row, col))
 
     def classify_grid(self) -> np.ndarray:
         """Window classification of every cell as an int array of CellState."""
-        cfg = self.config
-        g = self.conductance
-        out = np.full(g.shape, int(CellState.INDETERMINATE), dtype=np.int8)
-        for state in (CellState.STATE0, CellState.STATE1):
-            lo, hi = cfg.window(state)
-            out[(g >= lo) & (g <= hi)] = int(state)
-        return out
+        return self.state.copy()
 
     def _energy_noise(self) -> float:
         sigma = self.config.energy_noise_sigma
@@ -227,15 +246,15 @@ class Crossbar:
         the nominal target); failed writes scatter around the nominal.
         """
         self._check_coords(row, col)
-        target = CellState(target)
-        if target == CellState.INDETERMINATE:
-            raise ValueError("cannot target the indeterminate state")
         cfg = self.config
-        start = float(self.conductance[row, col])
-        if cfg.classify_value(start) == target:
+        window = cfg._targets.get(target)
+        if window is None:
+            CellState(target)  # raises for anything that is not a state
+            raise ValueError("cannot target the indeterminate state")
+        lo, hi, nominal = window
+        start = self.conductance.item(row, col)
+        if self.state.item(row, col) == target:
             return WriteOutcome(start, True, 0.0)
-        lo, hi = cfg.window(target)
-        nominal = cfg.nominal(target)
         if self.rng.random() < cfg.p_cell_success:
             if not cfg.shortcut_writes:
                 final = nominal
@@ -245,14 +264,15 @@ class Crossbar:
                 final = float(self.rng.triangular(nominal, hi, hi))
         else:
             final = float(self.rng.normal(nominal, cfg.miss_spread))
-        gs, _ = cfg._curve_arrays
-        final = float(np.clip(final, gs[0], gs[-1]))
-        energy = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
-        energy *= self._energy_noise()
+        curve = cfg.energy_curve
+        final = min(max(final, curve[0][0]), curve[-1][0])
+        e_final, e_start = np.interp((final, start), *cfg._curve_arrays).tolist()
+        energy = abs(e_final - e_start) * self._energy_noise()
         kind = "init" if tag == "init" else "program"
         self.ledger.record(kind, tag, row, col, energy)
         self.conductance[row, col] = final
-        return WriteOutcome(final, cfg.classify_value(final) == target, energy)
+        self.state[row, col] = cfg._sense(final)
+        return WriteOutcome(final, lo <= final <= hi, energy)
 
     def program_pair(
         self, row: int, col_pos: int, col_neg: int, logical: int, tag: str = ""
@@ -301,6 +321,7 @@ class Crossbar:
         """Force a cell's conductance directly; logged but free of energy."""
         self._check_coords(row, col)
         self.conductance[row, col] = float(conductance)
+        self.state[row, col] = self.config._sense(float(conductance))
         self.ledger.record("injected", "inject", row, col, 0.0)
 
     def snapshot_csv(self) -> str:

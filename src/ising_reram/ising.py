@@ -101,18 +101,19 @@ def build_graph(cnf: Cnf) -> IsingGraph:
         for pos, lit in enumerate(clause.literals):
             nodes.append(IsingNode(3 * c_idx + pos, c_idx, pos, lit))
     edges: set[tuple[int, int]] = set()
-    m = cnf.num_clauses
-    for c_idx in range(m):
+    for c_idx in range(cnf.num_clauses):
         base = 3 * c_idx
         edges.update({(base, base + 1), (base, base + 2), (base + 1, base + 2)})
-    for ci in range(m):
-        for cj in range(ci + 1, m):
-            for p in range(3):
-                for q in range(3):
-                    a = cnf.clauses[ci].literals[p]
-                    b = cnf.clauses[cj].literals[q]
-                    if a.variable == b.variable and a.negated != b.negated:
-                        edges.add((3 * ci + p, 3 * cj + q))
+    # Conflict edges: each occurrence of a literal with each occurrence of its
+    # negation in a later clause (node ids grow with the clause index).
+    occurrences: dict[int, list[IsingNode]] = {}
+    for node in nodes:
+        occurrences.setdefault(node.literal.to_int(), []).append(node)
+    for lit, group in occurrences.items():
+        for a in group:
+            for b in occurrences.get(-lit, ()):
+                if a.clause_index < b.clause_index:
+                    edges.add((a.id, b.id))
     return IsingGraph(tuple(nodes), frozenset(edges))
 
 
@@ -243,7 +244,7 @@ def decode_solution(
     verification, so a false SAT can never escape this function.
     """
     s = _check_spins(graph, spins)
-    selected = [i for i in range(graph.num_nodes) if s[i] == 1]
+    selected = np.flatnonzero(s == 1).tolist()
     per_clause = [0] * cnf.num_clauses
     for i in selected:
         per_clause[graph.nodes[i].clause_index] += 1

@@ -163,17 +163,16 @@ def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> Crossbar
     if n > xb.config.rows or 2 * n > xb.config.cols:
         raise MappingError(
             f"{n} nodes need {n} rows and {2 * n} columns; device is "
-            f"{xb.config.rows}x{xb.config.cols} (multi-tile operation unsupported)"
+            f"{xb.config.rows}x{xb.config.cols} (multi-tile operation unsupported); "
+            f'set {{"device": {{"rows": {n}, "cols": {2 * n}}}}} in the --config file'
         )
     mapping = CrossbarMapping(n)
-    spins = np.asarray(spins)
-    for j in range(n):
-        sign = int(spins[j])
-        for i in range(n):
-            if adj[i, j]:
-                xb.program_pair(
-                    mapping.row(i), mapping.col_pos(j), mapping.col_neg(j), sign, "init"
-                )
+    signs = np.asarray(spins, dtype=np.int64).tolist()
+    # Column-major (all of column j, then column j + 1): the write order fixes
+    # which device draws each cell gets.
+    cols, rows = np.nonzero(adj.T)
+    for j, i in zip(cols.tolist(), rows.tolist()):
+        xb.program_pair(mapping.row(i), mapping.col_pos(j), mapping.col_neg(j), signs[j], "init")
     return mapping
 
 
@@ -197,8 +196,8 @@ def compute_delta(
     drive = np.zeros(xb.config.rows, dtype=np.int64)
     drive[:n] = spins
     currents = xb.read_columns(drive, tag=tag)
-    pos = currents[[mapping.col_pos(j) for j in range(n)]]
-    neg = currents[[mapping.col_neg(j) for j in range(n)]]
+    pos = currents[1 : 2 * n : 2]  # mapping.col_pos(j) for j < n
+    neg = currents[0 : 2 * n : 2]  # mapping.col_neg(j)
     span = xb.config.v_read * (xb.config.g_state1 - xb.config.g_state0)
     raw = (pos - neg) / span
     return -(params.a_pen / 2.0) * (raw + spins * degrees) + params.b_pen * spins
@@ -237,9 +236,10 @@ def select_flips(
     node id as the tie-break; adjacent picks are skipped because simultaneous
     neighbor flips would invalidate each other's predicted cost.
     """
-    candidates = [i for i in range(len(delta)) if delta[i] < q]
+    costs = delta.tolist()
+    candidates = np.flatnonzero(delta < q).tolist()
     sign = -1.0 if config.control_f == "max" else 1.0
-    candidates.sort(key=lambda i: (sign * delta[i], i))
+    candidates.sort(key=lambda i: (sign * costs[i], i))
     chosen: list[int] = []
     for i in candidates:
         if len(chosen) >= config.k:
@@ -267,28 +267,38 @@ def apply_flips(
     for j in sorted(flips):
         spins[j] = -spins[j]
         sign = int(spins[j])
-        for i in np.flatnonzero(adj[:, j]):
+        for i in np.flatnonzero(adj[:, j]).tolist():
             out_pos, out_neg = xb.program_pair(
-                mapping.row(int(i)), mapping.col_pos(j), mapping.col_neg(j), sign, tag
+                mapping.row(i), mapping.col_pos(j), mapping.col_neg(j), sign, tag
             )
             targeted += 2
             correct += int(out_pos.landed_in_window) + int(out_neg.landed_in_window)
     return targeted, correct
 
 
+def _columns_hold_pattern(
+    xb: Crossbar, mapping: CrossbarMapping, adj: np.ndarray, spins: np.ndarray, nodes
+) -> np.ndarray:
+    """Per node in ``nodes`` (index list or slice): does its column pair classify
+    as the expected spin-signed pattern?
+
+    Only a node's own writes and its own spin change what its pair holds and
+    should hold, so after a flip only the flipped nodes need checking again.
+    """
+    n = mapping.num_nodes
+    pos = xb.state[:n, 1 : 2 * n : 2]  # mapping.col_pos(j) for j < n
+    neg = xb.state[:n, 0 : 2 * n : 2]  # mapping.col_neg(j)
+    weights = adj[:, nodes] * spins[nodes]
+    expect_pos = np.where(weights == 1, int(CellState.STATE1), int(CellState.STATE0))
+    expect_neg = np.where(weights == -1, int(CellState.STATE1), int(CellState.STATE0))
+    return ((pos[:, nodes] == expect_pos) & (neg[:, nodes] == expect_neg)).all(axis=0)
+
+
 def _mapped_pattern_ok(
     xb: Crossbar, mapping: CrossbarMapping, adj: np.ndarray, spins: np.ndarray
 ) -> bool:
     """Do all mapped cells classify as the expected spin-signed pattern?"""
-    n = mapping.num_nodes
-    states = xb.classify_grid()[:n, : 2 * n]
-    weights = adj * spins[np.newaxis, :]
-    expect_pos = np.where(weights == 1, int(CellState.STATE1), int(CellState.STATE0))
-    expect_neg = np.where(weights == -1, int(CellState.STATE1), int(CellState.STATE0))
-    return bool(
-        np.array_equal(states[:, 1::2], expect_pos)
-        and np.array_equal(states[:, 0::2], expect_neg)
-    )
+    return bool(_columns_hold_pattern(xb, mapping, adj, spins, slice(None)).all())
 
 
 def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> RunReport:
@@ -320,6 +330,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         spins = random_spins(graph.num_nodes, srng)
         xb = new_crossbar(device_config, derive_seed(solver_config.seed, restart, 1))
         mapping = map_problem(adj, spins, xb)
+        pattern_ok = _columns_hold_pattern(xb, mapping, adj, spins, slice(None))
         traces: list[IterationTrace] = []
         prior_delta: Optional[np.ndarray] = None
         found_here = False
@@ -331,11 +342,12 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             q = q_unit(delta, prior_delta, t, solver_config, srng)
             flips = select_flips(delta, q, solver_config, graph)
             targeted, correct = apply_flips(xb, mapping, spins, flips, adj, f"iter{t}")
-            ok = (correct == targeted) and _mapped_pattern_ok(xb, mapping, adj, spins)
+            pattern_ok[flips] = _columns_hold_pattern(xb, mapping, adj, spins, flips)
+            ok = (correct == targeted) and bool(pattern_ok.all())
             traces.append(
                 IterationTrace(
                     t=t,
-                    delta=tuple(float(d) for d in delta),
+                    delta=tuple(delta.tolist()),
                     q=float(q),
                     flipped=tuple(flips),
                     cells_targeted=targeted,

@@ -191,32 +191,43 @@ def test_cli_input_errors(tmp_path, capsys):
     for count in ("--runs", "--iters"):
         assert main(["bench", count, "0"]) == 2
         assert "error:" in capsys.readouterr().err
+    # Three clauses need 9 rows and 18 columns, more than the default array.
+    assert main(["gen", "--vars", "3", "--clauses", "3", "--seed", "1"]) == 0
+    three = tmp_path / "three.cnf"
+    three.write_text(capsys.readouterr().out)
+    assert main(["solve", str(three)]) == 2
+    assert 'set {"device": {"rows": 9, "cols": 18}}' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, named",
     [
-        {"device": {"rows": 40.5, "cols": 80}},
-        {"device": {"energy_curve": 5}},
-        {"device": {"shortcut_writes": 1}},
-        {"device": [1, 2]},
-        {"solver": {"k": "2"}},
-        {"solver": {"kk": 2}},
-        {"solver": {"a_pen": 1.0, "b_pen": 2.0}},
-        [1, 2],
+        ({"device": {"rows": 40.5, "cols": 80}}, "rows"),
+        ({"device": {"energy_curve": 5}}, "energy_curve"),
+        ({"device": {"shortcut_writes": 1}}, "shortcut_writes"),
+        ({"device": [1, 2]}, "DeviceConfig"),
+        ({"solver": {"k": "2"}}, "SolverConfig.k"),
+        ({"solver": {"kk": 2}}, "kk"),
+        ({"solver": {"a_pen": 1.0, "b_pen": 2.0}}, "a_pen"),
+        ([1, 2], "document"),
+        ({"device": {"energy_curve": [[1]]}}, "energy_curve point [1]"),
+        ({"device": {"energy_curve": [[0, 0], [10, 1, 2], [100, 5]]}}, "energy_curve point [10, 1, 2]"),
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",
         "string-k", "unknown-solver-key", "bad-penalties", "list-document",
+        "one-number-curve-point", "three-number-curve-point",
     ],
 )
-def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc):
+def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc, named):
     cnf_path = tmp_path / "three_x.cnf"
     cnf_path.write_text(emit_dimacs(three_x))
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(doc))
     assert main(["solve", str(cnf_path), "--config", str(config_path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert named in err
 
 
 def test_cli_bench_and_kernels_byte_identical(tmp_path, capsys):

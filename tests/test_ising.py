@@ -219,3 +219,24 @@ def test_kernel_decompose_rejects_non_reduction_graph():
 def test_export_edge_list():
     g = graph_from_edges(3, [(0, 1), (1, 2)])
     assert export_edge_list(g) == "3 2\n0 1\n1 2\n"
+
+
+def _clause_pair_edges(cnf):
+    """Reference reduction edges: scan every clause pair for complementary literals."""
+    edges = set()
+    for c in range(cnf.num_clauses):
+        base = 3 * c
+        edges |= {(base, base + 1), (base, base + 2), (base + 1, base + 2)}
+    for ci in range(cnf.num_clauses):
+        for cj in range(ci + 1, cnf.num_clauses):
+            for p, a in enumerate(cnf.clauses[ci].literals):
+                for q, b in enumerate(cnf.clauses[cj].literals):
+                    if a.variable == b.variable and a.negated != b.negated:
+                        edges.add((3 * ci + p, 3 * cj + q))
+    return frozenset(edges)
+
+
+@pytest.mark.parametrize("m", [5 + 75 * k // 19 for k in range(20)])
+def test_build_graph_edges_match_clause_pair_scan(m):
+    cnf = random_3sat(max(3, m // 4), m, seed=m)
+    assert build_graph(cnf).edges == _clause_pair_edges(cnf)

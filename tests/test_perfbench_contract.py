@@ -1,18 +1,23 @@
 """The names the benchmark harness wraps must exist where it looks them up.
 
 `perfbench/spans.py` patches public callables in the namespace of their
-caller; a renamed or deleted one would only show up as a malformed benchmark
-result, so this test resolves every target here instead.
+caller; a renamed or deleted one, or a write path that no longer goes
+through `Crossbar.program_cell`, would only show up as a malformed benchmark
+result, so these tests resolve every target and compute the per-layer
+metrics here instead.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import ising_reram.bench
-from ising_reram import DeviceConfig, SolverConfig, paper_suite, run_suite
+import ising_reram.solver
+from ising_reram import DeviceConfig, SolverConfig, paper_suite, random_3sat, run_suite
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -43,3 +48,30 @@ def test_run_suite_calls_run_through_the_bench_namespace(monkeypatch):
     suite = paper_suite(runs=2, iters=2)
     run_suite(suite, DeviceConfig(), SolverConfig(), seed=1)
     assert calls == [cnf for _label, cnf in suite.instances for _ in range(suite.runs)]
+
+
+def test_traced_solves_give_every_per_layer_metric():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # Looked up after install, as the benchmark calls them.
+        report = ising_reram.solver.run(
+            random_3sat(5, 6, 1),
+            DeviceConfig(rows=18, cols=36),
+            SolverConfig(restarts=2, max_iters=5, profile_iterations=True),
+        )
+        suite = paper_suite(runs=2, iters=2)
+        ising_reram.bench.run_suite(suite, DeviceConfig(), SolverConfig(), seed=1)
+    finally:
+        tracer.uninstall()
+    traces = [tr for restart in report.traces for tr in restart]
+    metrics = tracer.metrics(
+        solves=1 + suite.runs * len(suite.instances),
+        iterations=len(traces),
+        flips=sum(len(tr.flipped) for tr in traces),
+        cells_targeted=sum(tr.cells_targeted for tr in traces),
+    )
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert tracer.missing == []
+    assert sorted(metrics) == sorted(entry["name"] for entry in per_layer)

@@ -25,6 +25,8 @@ from ising_reram import (
     select_flips,
     verify_assignment,
 )
+import ising_reram.solver as solver_module
+from ising_reram.solver import _mapped_pattern_ok
 from conftest import exact_device, unsat_eight_clause
 
 PARAMS = HamiltonianParams()
@@ -241,8 +243,6 @@ def test_energy_descent_greedy_exact(three_x):
 
 
 def test_column_spin_coherence_after_flips(three_x):
-    from ising_reram.solver import _mapped_pattern_ok
-
     g, adj, spins, xb, mapping = build_problem(three_x, seed=5)
     assert _mapped_pattern_ok(xb, mapping, adj, spins)
     for flip in ([0], [3], [2]):
@@ -345,3 +345,66 @@ def test_solver_config_validation():
         SolverConfig(alpha=1.0)
     with pytest.raises(ValueError):
         SolverConfig(control_f="median")
+
+
+def _noisy_run_checking_verify(monkeypatch, p_cell_success):
+    """Solve on a noisy 18x36 device, checking every iteration's verify.
+
+    At each decode (once per iteration, after the flips are written) the
+    per-node pattern vector that `run` keeps must agree with the
+    whole-array oracle.  Returns the run's crossbars and the oracle's
+    verdict per iteration.
+    """
+    live, crossbars, verdicts = {}, [], []
+    map_problem_, columns_, decode_ = (
+        solver_module.map_problem, solver_module._columns_hold_pattern, solver_module.decode_solution
+    )
+
+    def recording_map(adj, spins, xb):
+        mapping = map_problem_(adj, spins, xb)
+        live.update(adj=adj, spins=spins, xb=xb, mapping=mapping, pattern_ok=None)
+        crossbars.append(xb)
+        return mapping
+
+    def recording_columns(*args):
+        out = columns_(*args)
+        if live["pattern_ok"] is None:  # the first call after mapping builds run's vector
+            live["pattern_ok"] = out
+        return out
+
+    def checking_decode(*args):
+        oracle = _mapped_pattern_ok(live["xb"], live["mapping"], live["adj"], live["spins"])
+        assert bool(live["pattern_ok"].all()) == oracle
+        verdicts.append(oracle)
+        return decode_(*args)
+
+    monkeypatch.setattr(solver_module, "map_problem", recording_map)
+    monkeypatch.setattr(solver_module, "_columns_hold_pattern", recording_columns)
+    monkeypatch.setattr(solver_module, "decode_solution", checking_decode)
+    device = DeviceConfig(rows=18, cols=36, p_cell_success=p_cell_success)
+    solver = SolverConfig(restarts=4, max_iters=25, seed=3, profile_iterations=True)
+    report = run(random_3sat(5, 6, 11), device, solver)
+    assert len(verdicts) == sum(len(restart) for restart in report.traces) == 100
+    return crossbars, verdicts
+
+
+def test_incremental_verify_matches_whole_array_oracle(monkeypatch):
+    verdicts = []
+    for p_cell_success in (0.6, 0.99):
+        verdicts += _noisy_run_checking_verify(monkeypatch, p_cell_success)[1]
+    assert set(verdicts) == {True, False}
+
+
+def test_sensed_grid_matches_window_classification(monkeypatch):
+    crossbars, _ = _noisy_run_checking_verify(monkeypatch, 0.6)
+    faults = ((0, 1, 45.0), (2, 3, 70.0), (4, 5, 10.0), (5, 0, 30.0), (1, 7, 95.0), (3, 2, 0.0))
+    for row, col, g in faults:
+        crossbars[-1].inject_fault(row, col, g)
+    for xb in crossbars:
+        cfg, g = xb.config, xb.conductance
+        expected = np.full(g.shape, int(CellState.INDETERMINATE))
+        for state, nominal in ((CellState.STATE0, cfg.g_state0), (CellState.STATE1, cfg.g_state1)):
+            expected[(g >= nominal - cfg.tolerance) & (g <= nominal + cfg.tolerance)] = int(state)
+        assert np.array_equal(xb.classify_grid(), expected)
+        assert xb.classify(4, 5) == CellState(expected[4, 5])
+    assert set(np.unique(crossbars[-1].classify_grid()).tolist()) == {0, 1, 2}
