@@ -27,9 +27,12 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _load_configs(path: Optional[str]) -> tuple[DeviceConfig, SolverConfig]:

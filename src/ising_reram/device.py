@@ -303,14 +303,18 @@ class Crossbar:
         d = np.asarray(drive)
         if d.shape != (self.config.rows,):
             raise ValueError(f"drive has shape {d.shape}, expected ({self.config.rows},)")
-        if not np.isin(d, (-1, 0, 1)).all():
+        if not ((d == 0) | (d == 1) | (d == -1)).all():
             raise ValueError("drive entries must be in {-1, 0, +1}")
         currents = self.config.v_read * (d.astype(float) @ self.conductance)
         driven = d != 0
+        k = int(np.count_nonzero(driven))
+        # A prefix drive (rows 0..k-1, as the solver drives) sums a view of
+        # the same C-ordered cells the row copy would hold, in the same order.
+        rows = self.conductance[:k] if driven[:k].all() else self.conductance[driven, :]
         # uS * V^2 * s = 1e-6 J units; convert to nJ.
         energy_nj = float(
             self.config.v_read ** 2
-            * self.conductance[driven, :].sum()
+            * rows.sum()
             * self.config.t_read
             * 1e3
         )

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cnf import Cnf
-from .device import Crossbar, DeviceConfig, CellState, new_crossbar
+from .device import Crossbar, DeviceConfig, new_crossbar
 from .ising import (
     HamiltonianParams,
     IsingGraph,
@@ -33,7 +33,7 @@ from .ising import (
     build_graph,
     decode_solution,
 )
-from .util import derive_seed, field_dict, from_mapping, substream
+from .util import derive_seed, field_dict, from_mapping, indented_json, substream
 
 
 class MappingError(ValueError):
@@ -142,8 +142,12 @@ class RunReport:
 
 
 def report_to_json(report: RunReport) -> str:
-    """Stable JSON encoding (sorted keys) so identical runs match byte-wise."""
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    """Stable JSON encoding (sorted keys) so identical runs match byte-wise.
+
+    The text equals ``json.dumps(report.to_json_dict(), indent=2,
+    sort_keys=True) + "\\n"``.
+    """
+    return indented_json(report.to_json_dict()) + "\n"
 
 
 def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,10 +292,9 @@ def _columns_hold_pattern(
     n = mapping.num_nodes
     pos = xb.state[:n, 1 : 2 * n : 2]  # mapping.col_pos(j) for j < n
     neg = xb.state[:n, 0 : 2 * n : 2]  # mapping.col_neg(j)
-    weights = adj[:, nodes] * spins[nodes]
-    expect_pos = np.where(weights == 1, int(CellState.STATE1), int(CellState.STATE0))
-    expect_neg = np.where(weights == -1, int(CellState.STATE1), int(CellState.STATE0))
-    return ((pos[:, nodes] == expect_pos) & (neg[:, nodes] == expect_neg)).all(axis=0)
+    weights = adj[:, nodes] * spins[nodes].astype(np.int8)  # int8: entries are -1, 0 or 1
+    # STATE1 is 1 and STATE0 is 0, so a boolean "holds a high cell" compares as the state.
+    return ((pos[:, nodes] == (weights > 0)) & (neg[:, nodes] == (weights < 0))).all(axis=0)
 
 
 def _mapped_pattern_ok(
@@ -342,7 +345,8 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             q = q_unit(delta, prior_delta, t, solver_config, srng)
             flips = select_flips(delta, q, solver_config, graph)
             targeted, correct = apply_flips(xb, mapping, spins, flips, adj, f"iter{t}")
-            pattern_ok[flips] = _columns_hold_pattern(xb, mapping, adj, spins, flips)
+            if flips:
+                pattern_ok[flips] = _columns_hold_pattern(xb, mapping, adj, spins, flips)
             ok = (correct == targeted) and bool(pattern_ok.all())
             traces.append(
                 IterationTrace(

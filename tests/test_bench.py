@@ -180,7 +180,7 @@ def test_cli_solve_unknown_exit_code(tmp_path, capsys):
     assert code == 1
 
 
-def test_cli_input_errors(tmp_path, capsys):
+def test_cli_input_errors(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nope.cnf"
     assert main(["solve", str(missing)]) == 2
     bad = tmp_path / "bad.cnf"
@@ -197,6 +197,9 @@ def test_cli_input_errors(tmp_path, capsys):
     three.write_text(capsys.readouterr().out)
     assert main(["solve", str(three)]) == 2
     assert 'set {"device": {"rows": 9, "cols": 18}}' in capsys.readouterr().err
+    monkeypatch.setenv("ISING_RERAM_SEED", "abc")
+    assert main(["gen", "--vars", "3", "--clauses", "2"]) == 2
+    assert "error: ISING_RERAM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

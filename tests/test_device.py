@@ -162,6 +162,43 @@ def test_read_columns_zero_drive():
     assert xb.ledger.inference_energy_nj == 0.0
 
 
+@pytest.mark.parametrize("bad", [2, -2, 0.5, np.nan])
+def test_read_columns_rejects_drives_outside_unit_set(bad):
+    xb = new_crossbar(DeviceConfig(), seed=1)
+    drive = np.zeros(32)
+    drive[3] = bad
+    with pytest.raises(ValueError, match="drive entries"):
+        xb.read_columns(drive)
+    assert xb.ledger.inference_energy_nj == 0.0
+
+
+def test_read_columns_accepts_float_unit_drive():
+    xb = new_crossbar(DeviceConfig(), seed=1)
+    xb.inject_fault(1, 4, 70.0)
+    drive = np.zeros(32, dtype=int)
+    drive[:3] = (1, -1, 1)
+    by_int = xb.read_columns(drive)
+    by_float = xb.read_columns(drive.astype(float))
+    assert np.array_equal(by_int, by_float)
+
+
+@pytest.mark.parametrize("driven", ["prefix", "non-prefix", "zero"])
+def test_read_energy_equals_driven_row_sum(driven):
+    cfg = DeviceConfig(rows=120, cols=240)
+    xb = new_crossbar(cfg, seed=1)
+    rng = np.random.default_rng(5)
+    # Read energy depends only on conductance; spread values make summation order show.
+    xb.conductance[:] = rng.uniform(5.0, 95.0, xb.conductance.shape)
+    drive = np.zeros(cfg.rows, dtype=np.int64)
+    if driven == "prefix":
+        drive[:90] = rng.choice((-1, 1), 90)
+    elif driven == "non-prefix":
+        drive[3:6] = (1, -1, 1)
+    xb.read_columns(drive)
+    expected = cfg.v_read ** 2 * xb.conductance[drive != 0, :].sum() * cfg.t_read * 1e3
+    assert xb.ledger.inference_energy_nj == expected
+
+
 def test_differential_nullification():
     cfg = DeviceConfig()
     xb = new_crossbar(cfg, seed=1)

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,9 @@ from ising_reram import (
     CellState,
     DeviceConfig,
     HamiltonianParams,
+    IterationTrace,
     MappingError,
+    RunReport,
     SolverConfig,
     adjacency_matrix,
     apply_flips,
@@ -293,6 +298,42 @@ def test_run_determinism(three_x):
     assert report_to_json(rep1) == report_to_json(rep2)
     rep3 = run(three_x, device, SolverConfig(seed=22))
     assert report_to_json(rep3) != report_to_json(rep1)
+
+
+def _stdlib_report_json(report):
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _synthetic_report():
+    """Floats the stdlib spells specially: signed zeros, extremes, NaN, infinities."""
+    specials = (0.0, -0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf, 0.1, -0.0, 0.0)
+    traces = [
+        IterationTrace(0, specials, -0.0, (), 0, 0, True, 0.0, 1e-300),
+        IterationTrace(1, specials[::-1], math.nan, (2, 0), 4, 3, False, -0.0, 0.1),
+    ]
+    return RunReport(
+        verdict="Unknown",
+        assignment=None,
+        final_spins=(1, -1, 1),
+        traces=[traces, []],
+        totals={"init_energy_nj": 0.0, "program_energy_nj": -0.0, "inference_energy_nj": math.inf},
+        iteration_accuracy=0.5,
+        cell_write_accuracy=0.75,
+        restarts_executed=2,
+    )
+
+
+def test_report_json_matches_stdlib_encoder(three_x):
+    sat = run(three_x, exact_device(rows=8, cols=12), SolverConfig(seed=3))
+    unknown = run(unsat_eight_clause(), exact_device(rows=24, cols=48),
+                  SolverConfig(restarts=2, max_iters=10, seed=1))
+    noisy = run(random_3sat(5, 6, 11), DeviceConfig(rows=18, cols=36),
+                SolverConfig(restarts=3, max_iters=25, seed=3, profile_iterations=True))
+    assert sat.verdict == "SAT" and sat.assignment is not None
+    assert unknown.assignment is None and unknown.sat_restart is None
+    assert len(noisy.traces) == 3
+    for report in (sat, unknown, noisy, _synthetic_report()):
+        assert report_to_json(report) == _stdlib_report_json(report)
 
 
 def test_run_report_energy_traceability(three_x):
