@@ -35,9 +35,9 @@ print(f"write energy: mean {np.mean(energies):.2f} nJ vs {swing:.2f} nJ at full 
 
 print("\n=== Differential pair conventions ===")
 xb = new_crossbar(cfg, seed=7)
-xb.program_pair(0, col_pos=1, col_neg=0, logical=-1, tag="init")
-print(f"logical -1: neg column cell -> {xb.classify(0, 0).name}, "
-      f"pos column cell -> {xb.classify(0, 1).name}")
+xb.program_pair(0, col_pos=1, col_neg=0, logical=-1, kind="init")
+print(f"logical -1: neg column cell -> {CellState(xb.state[0, 0]).name}, "
+      f"pos column cell -> {CellState(xb.state[0, 1]).name}")
 drive = np.zeros(cfg.rows, dtype=int)
 drive[0] = 1
 currents = xb.read_columns(drive)
@@ -53,6 +53,6 @@ print(f"after forcing both cells high: pos - neg = {currents[1] - currents[0]:.3
 print("\n=== Ledger ===")
 led = xb.ledger
 print(f"init {led.init_energy_nj:.3f} nJ, program {led.program_energy_nj:.3f} nJ, "
-      f"inference {led.inference_energy_nj:.6f} nJ over {len(led.events)} events")
+      f"inference {led.inference_energy_nj:.6f} nJ")
 print("\nsnapshot of the first rows (uS):")
 print("\n".join(xb.snapshot_csv().splitlines()[:2]))

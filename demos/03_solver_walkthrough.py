@@ -37,16 +37,16 @@ device = ideal_config(rows=graph.num_nodes, cols=2 * graph.num_nodes)
 xb = new_crossbar(device, seed=3)
 rng = np.random.default_rng(3)
 spins = 2 * rng.integers(0, 2, graph.num_nodes) - 1
-mapping = map_problem(adj, spins, xb)
+map_problem(adj, spins, xb)
 
 print("=== Manual loop on 3-X (ideal device) ===")
 print(f"initial spins {spins}, energy {hamiltonian_energy(graph, spins, params):+.1f}")
 prior = None
 for t in range(6):
-    delta = compute_delta(xb, mapping, spins, degrees, params)
+    delta = compute_delta(xb, spins, degrees, params)
     q = q_unit(delta, prior, t, config, rng)
     flips = select_flips(delta, q, config, graph)
-    apply_flips(xb, mapping, spins, flips, adj, f"iter{t}")
+    apply_flips(xb, spins, flips, adj)
     energy = hamiltonian_energy(graph, spins, params)
     mode = "greedy" if q == 0.0 and (delta < 0).any() else "annealing"
     print(f"t={t}: delta={np.array2string(delta, precision=1)} q={q:.2f} ({mode}) "

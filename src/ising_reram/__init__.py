@@ -24,7 +24,6 @@ from .ising import (
     decode_solution,
     delta_oracle,
     exhaustive_ground_state,
-    export_edge_list,
     graph_from_edges,
     hamiltonian_energy,
     kernel_decompose,
@@ -40,7 +39,6 @@ from .device import (
     new_crossbar,
 )
 from .solver import (
-    CrossbarMapping,
     IterationTrace,
     MappingError,
     RunReport,

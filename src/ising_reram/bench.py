@@ -102,7 +102,7 @@ def kernel_energy_report(
             init_samples.append(xb.ledger.init_energy_nj)
             for r, c in pattern:
                 if c == 0:
-                    xb.program_pair(r, 2 * c + 1, 2 * c, -1, "flip")
+                    xb.program_pair(r, 2 * c + 1, 2 * c, -1)
             flip_samples.append(xb.ledger.program_energy_nj)
         for phase, samples in (("initialize", init_samples), ("program-iteration", flip_samples)):
             rows.append(

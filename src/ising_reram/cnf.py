@@ -142,8 +142,9 @@ def parse_dimacs(text: str) -> Cnf:
 
     Accepts ``c`` comment lines, a single ``p cnf <n> <m>`` header, and clauses
     as whitespace-separated signed integers terminated by ``0`` (clauses may
-    span lines).  Clause order is preserved.  All structural errors report the
-    offending line number via :class:`DimacsError`.
+    span lines).  A line starting with ``%`` ends the input, as in the SATLIB
+    ``uf*`` files.  Clause order is preserved.  All structural errors report
+    the offending line number via :class:`DimacsError`.
     """
     num_vars: Optional[int] = None
     declared_clauses = 0
@@ -155,6 +156,8 @@ def parse_dimacs(text: str) -> Cnf:
         stripped = raw.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):
+            break
         if stripped.startswith("p"):
             if num_vars is not None:
                 raise DimacsError("duplicate problem header", line_no)

@@ -1,4 +1,4 @@
-"""Behavioral model of a 1-bit differential ReRAM crossbar with energy ledger.
+"""Behavioral model of a 1-bit differential ReRAM crossbar with energy totals per kind.
 
 Cells hold a conductance in microsiemens and are classified against two
 tolerance windows, low state 20 uS and high state 70 uS with a +/-10 uS
@@ -124,19 +124,12 @@ class DeviceConfig:
         gs, es = self._curve_arrays
         return float(np.interp(conductance, gs, es))
 
-    def window(self, state: CellState) -> tuple[float, float]:
-        nominal = self.g_state0 if state == CellState.STATE0 else self.g_state1
-        return nominal - self.tolerance, nominal + self.tolerance
-
-    def nominal(self, state: CellState) -> float:
-        return self.g_state0 if state == CellState.STATE0 else self.g_state1
-
     @cached_property
     def _targets(self) -> dict[int, tuple[float, float, float]]:
         """(window low, window high, nominal) per writable state, as plain floats."""
         return {
-            int(state): (*map(float, self.window(state)), float(self.nominal(state)))
-            for state in (CellState.STATE0, CellState.STATE1)
+            int(state): (float(g - self.tolerance), float(g + self.tolerance), float(g))
+            for state, g in ((CellState.STATE0, self.g_state0), (CellState.STATE1, self.g_state1))
         }
 
     def _sense(self, conductance: float) -> int:
@@ -164,26 +157,15 @@ class WriteOutcome:
     energy_nj: float
 
 
-@dataclass(frozen=True)
-class LedgerEvent:
-    kind: str       # init | program | inference | injected
-    tag: str
-    row: int        # -1 for array-level events (reads)
-    col: int
-    energy_nj: float
-
-
 class EnergyLedger:
-    """Append-only energy log; totals are maintained alongside the events."""
+    """Energy totals per kind: init, program, inference and injected."""
 
     def __init__(self) -> None:
-        self.events: list[LedgerEvent] = []
         self._totals = {"init": 0.0, "program": 0.0, "inference": 0.0, "injected": 0.0}
 
-    def record(self, kind: str, tag: str, row: int, col: int, energy_nj: float) -> None:
+    def record(self, kind: str, energy_nj: float) -> None:
         if energy_nj < 0:
             raise ValueError("ledger entries must be non-negative")
-        self.events.append(LedgerEvent(kind, tag, row, col, energy_nj))
         self._totals[kind] += energy_nj
 
     @property
@@ -206,7 +188,7 @@ class Crossbar:
     """Single-owner mutable crossbar; all state changes flow through methods.
 
     The RNG stream belongs to the instance, so two crossbars with the same
-    config and seed replay identical stochastic behavior event for event.
+    config and seed replay identical stochastic behavior write for write.
     """
 
     def __init__(self, config: DeviceConfig, seed: int) -> None:
@@ -222,10 +204,6 @@ class Crossbar:
                 f"cell ({row}, {col}) outside {self.config.rows}x{self.config.cols} array"
             )
 
-    def classify(self, row: int, col: int) -> CellState:
-        self._check_coords(row, col)
-        return CellState(self.state.item(row, col))
-
     def classify_grid(self) -> np.ndarray:
         """Window classification of every cell as an int array of CellState."""
         return self.state.copy()
@@ -237,15 +215,20 @@ class Crossbar:
         # Mean-one lognormal so that configured noise leaves averages in place.
         return float(self.rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
 
-    def program_cell(self, row: int, col: int, target: CellState, tag: str = "") -> WriteOutcome:
+    def program_cell(
+        self, row: int, col: int, target: CellState, kind: str = "program"
+    ) -> WriteOutcome:
         """Issue one write pulse train toward a target state.
 
         Cells already inside the target window are skipped: no pulse, no
         energy, no conductance change.  Successful writes stop inside the
         window edge nearest the starting conductance (between that edge and
-        the nominal target); failed writes scatter around the nominal.
+        the nominal target); failed writes scatter around the nominal.  The
+        energy goes to the ledger total ``kind``, "init" or "program".
         """
         self._check_coords(row, col)
+        if kind not in ("init", "program"):
+            raise ValueError(f"write kind must be 'init' or 'program', got {kind!r}")
         cfg = self.config
         window = cfg._targets.get(target)
         if window is None:
@@ -268,14 +251,13 @@ class Crossbar:
         final = min(max(final, curve[0][0]), curve[-1][0])
         e_final, e_start = np.interp((final, start), *cfg._curve_arrays).tolist()
         energy = abs(e_final - e_start) * self._energy_noise()
-        kind = "init" if tag == "init" else "program"
-        self.ledger.record(kind, tag, row, col, energy)
+        self.ledger.record(kind, energy)
         self.conductance[row, col] = final
         self.state[row, col] = cfg._sense(final)
         return WriteOutcome(final, lo <= final <= hi, energy)
 
     def program_pair(
-        self, row: int, col_pos: int, col_neg: int, logical: int, tag: str = ""
+        self, row: int, col_pos: int, col_neg: int, logical: int, kind: str = "program"
     ) -> tuple[WriteOutcome, WriteOutcome]:
         """Write one signed weight into a differential column pair.
 
@@ -290,11 +272,11 @@ class Crossbar:
         pos_target = CellState.STATE1 if logical == 1 else CellState.STATE0
         neg_target = CellState.STATE1 if logical == -1 else CellState.STATE0
         return (
-            self.program_cell(row, col_pos, pos_target, tag),
-            self.program_cell(row, col_neg, neg_target, tag),
+            self.program_cell(row, col_pos, pos_target, kind),
+            self.program_cell(row, col_neg, neg_target, kind),
         )
 
-    def read_columns(self, drive: Sequence[int], tag: str = "read") -> np.ndarray:
+    def read_columns(self, drive: Sequence[int]) -> np.ndarray:
         """Column currents (uA) under a signed row drive, logging read energy.
 
         The signed drive is a functional idealization of the inference step;
@@ -318,7 +300,7 @@ class Crossbar:
             * self.config.t_read
             * 1e3
         )
-        self.ledger.record("inference", tag, -1, -1, energy_nj)
+        self.ledger.record("inference", energy_nj)
         return currents
 
     def inject_fault(self, row: int, col: int, conductance: float) -> None:
@@ -326,7 +308,7 @@ class Crossbar:
         self._check_coords(row, col)
         self.conductance[row, col] = float(conductance)
         self.state[row, col] = self.config._sense(float(conductance))
-        self.ledger.record("injected", "inject", row, col, 0.0)
+        self.ledger.record("injected", 0.0)
 
     def snapshot_csv(self) -> str:
         """Row-major CSV dump of the conductance grid, 3 decimal places."""

@@ -260,11 +260,3 @@ def decode_solution(
         values[lit.variable - 1] = not lit.negated
     assignment = Assignment(tuple(values))
     return assignment if verify_assignment(cnf, assignment) else None
-
-
-def export_edge_list(graph: IsingGraph) -> str:
-    """Debug dump: header ``N E`` then one ``u v`` pair per line."""
-    lines = [f"{graph.num_nodes} {graph.num_edges}"]
-    for u, v in sorted(graph.edges):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 The crossbar stores the spin-signed adjacency matrix in differential column
 pairs: entry (i, j) is written as sign s_j when nodes i and j are adjacent.
+Node j sits on row j and on column pair (2j, 2j+1), negative cell first.
 Each iteration reads the column currents under a row drive equal to the
 current spins, recovers the quadratic part of the per-node flip costs, applies
 the linear degree/reward bias digitally (the summer, threshold, q, and spin
@@ -38,22 +39,6 @@ from .util import derive_seed, field_dict, from_mapping, indented_json, substrea
 
 class MappingError(ValueError):
     """Problem does not fit the crossbar (multi-tile operation unsupported)."""
-
-
-@dataclass(frozen=True)
-class CrossbarMapping:
-    """Node-to-array layout: node j lives on row j and column pair (2j, 2j+1)."""
-
-    num_nodes: int
-
-    def row(self, node: int) -> int:
-        return node
-
-    def col_neg(self, node: int) -> int:
-        return 2 * node
-
-    def col_pos(self, node: int) -> int:
-        return 2 * node + 1
 
 
 @dataclass(frozen=True)
@@ -154,8 +139,8 @@ def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:
     return (2 * rng.integers(0, 2, size=num_nodes) - 1).astype(np.int64)
 
 
-def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> CrossbarMapping:
-    """Program the spin-signed adjacency matrix into the array (tag "init").
+def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> None:
+    """Program the spin-signed adjacency matrix into the array (kind "init").
 
     Column j carries adj(i, j) * s_j in its differential pair; zero entries
     stay untouched.  Raises MappingError when the problem needs more rows or
@@ -170,23 +155,33 @@ def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> Crossbar
             f"{xb.config.rows}x{xb.config.cols} (multi-tile operation unsupported); "
             f'set {{"device": {{"rows": {n}, "cols": {2 * n}}}}} in the --config file'
         )
-    mapping = CrossbarMapping(n)
+    _program_columns(xb, adj, spins, range(n), "init")
+
+
+def _program_columns(
+    xb: Crossbar, adj: np.ndarray, spins: Sequence[int], nodes: Sequence[int], kind: str
+) -> tuple[int, int]:
+    """Write the pairs of the columns of ``nodes`` in order, rows ascending.
+
+    The write order fixes which device draws each cell gets.  Returns (cells
+    targeted, cells that landed in their window).
+    """
     signs = np.asarray(spins, dtype=np.int64).tolist()
-    # Column-major (all of column j, then column j + 1): the write order fixes
-    # which device draws each cell gets.
-    cols, rows = np.nonzero(adj.T)
-    for j, i in zip(cols.tolist(), rows.tolist()):
-        xb.program_pair(mapping.row(i), mapping.col_pos(j), mapping.col_neg(j), signs[j], "init")
-    return mapping
+    targeted = correct = 0
+    cols, rows = np.nonzero(adj[:, nodes].T)
+    for c, i in zip(cols.tolist(), rows.tolist()):
+        j = nodes[c]
+        out_pos, out_neg = xb.program_pair(i, 2 * j + 1, 2 * j, signs[j], kind)
+        targeted += 2
+        correct += out_pos.landed_in_window + out_neg.landed_in_window
+    return targeted, correct
 
 
 def compute_delta(
     xb: Crossbar,
-    mapping: CrossbarMapping,
     spins: Sequence[int],
     degrees: Sequence[int],
     params: HamiltonianParams,
-    tag: str = "read",
 ) -> np.ndarray:
     """Per-node flip costs from one differential crossbar inference.
 
@@ -196,12 +191,12 @@ def compute_delta(
     """
     spins = np.asarray(spins, dtype=np.int64)
     degrees = np.asarray(degrees, dtype=np.int64)
-    n = mapping.num_nodes
+    n = len(spins)
     drive = np.zeros(xb.config.rows, dtype=np.int64)
     drive[:n] = spins
-    currents = xb.read_columns(drive, tag=tag)
-    pos = currents[1 : 2 * n : 2]  # mapping.col_pos(j) for j < n
-    neg = currents[0 : 2 * n : 2]  # mapping.col_neg(j)
+    currents = xb.read_columns(drive)
+    pos = currents[1 : 2 * n : 2]
+    neg = currents[0 : 2 * n : 2]
     span = xb.config.v_read * (xb.config.g_state1 - xb.config.g_state0)
     raw = (pos - neg) / span
     return -(params.a_pen / 2.0) * (raw + spins * degrees) + params.b_pen * spins
@@ -255,33 +250,20 @@ def select_flips(
 
 
 def apply_flips(
-    xb: Crossbar,
-    mapping: CrossbarMapping,
-    spins: np.ndarray,
-    flips: Sequence[int],
-    adj: np.ndarray,
-    tag: str,
+    xb: Crossbar, spins: np.ndarray, flips: Sequence[int], adj: np.ndarray
 ) -> tuple[int, int]:
     """Flip spins in place and reprogram the flipped nodes' column pairs.
 
-    Only rows adjacent to a flipped node are rewritten, two cells per pair.
-    Returns (cells targeted, cells that landed in their window).
+    Only rows adjacent to a flipped node are rewritten (kind "program"), two
+    cells per pair.  Returns (cells targeted, cells that landed in their window).
     """
-    targeted = correct = 0
-    for j in sorted(flips):
+    for j in flips:
         spins[j] = -spins[j]
-        sign = int(spins[j])
-        for i in np.flatnonzero(adj[:, j]).tolist():
-            out_pos, out_neg = xb.program_pair(
-                mapping.row(i), mapping.col_pos(j), mapping.col_neg(j), sign, tag
-            )
-            targeted += 2
-            correct += int(out_pos.landed_in_window) + int(out_neg.landed_in_window)
-    return targeted, correct
+    return _program_columns(xb, adj, spins, sorted(flips), "program")
 
 
 def _columns_hold_pattern(
-    xb: Crossbar, mapping: CrossbarMapping, adj: np.ndarray, spins: np.ndarray, nodes
+    xb: Crossbar, adj: np.ndarray, spins: np.ndarray, nodes
 ) -> np.ndarray:
     """Per node in ``nodes`` (index list or slice): does its column pair classify
     as the expected spin-signed pattern?
@@ -289,19 +271,17 @@ def _columns_hold_pattern(
     Only a node's own writes and its own spin change what its pair holds and
     should hold, so after a flip only the flipped nodes need checking again.
     """
-    n = mapping.num_nodes
-    pos = xb.state[:n, 1 : 2 * n : 2]  # mapping.col_pos(j) for j < n
-    neg = xb.state[:n, 0 : 2 * n : 2]  # mapping.col_neg(j)
+    n = adj.shape[0]
+    pos = xb.state[:n, 1 : 2 * n : 2]
+    neg = xb.state[:n, 0 : 2 * n : 2]
     weights = adj[:, nodes] * spins[nodes].astype(np.int8)  # int8: entries are -1, 0 or 1
     # STATE1 is 1 and STATE0 is 0, so a boolean "holds a high cell" compares as the state.
     return ((pos[:, nodes] == (weights > 0)) & (neg[:, nodes] == (weights < 0))).all(axis=0)
 
 
-def _mapped_pattern_ok(
-    xb: Crossbar, mapping: CrossbarMapping, adj: np.ndarray, spins: np.ndarray
-) -> bool:
+def _mapped_pattern_ok(xb: Crossbar, adj: np.ndarray, spins: np.ndarray) -> bool:
     """Do all mapped cells classify as the expected spin-signed pattern?"""
-    return bool(_columns_hold_pattern(xb, mapping, adj, spins, slice(None)).all())
+    return bool(_columns_hold_pattern(xb, adj, spins, slice(None)).all())
 
 
 def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> RunReport:
@@ -322,8 +302,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
 
     all_traces: list[list[IterationTrace]] = []
     totals = {"init_energy_nj": 0.0, "program_energy_nj": 0.0, "inference_energy_nj": 0.0}
-    accurate = total_iters = 0
-    cells_correct_sum = cells_targeted_sum = 0
     sat_assignment = None
     sat_restart = sat_iteration = None
     final_spins: Optional[np.ndarray] = None
@@ -332,8 +310,8 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         srng = substream(solver_config.seed, restart, 0)
         spins = random_spins(graph.num_nodes, srng)
         xb = new_crossbar(device_config, derive_seed(solver_config.seed, restart, 1))
-        mapping = map_problem(adj, spins, xb)
-        pattern_ok = _columns_hold_pattern(xb, mapping, adj, spins, slice(None))
+        map_problem(adj, spins, xb)
+        pattern_ok = _columns_hold_pattern(xb, adj, spins, slice(None))
         traces: list[IterationTrace] = []
         prior_delta: Optional[np.ndarray] = None
         found_here = False
@@ -341,12 +319,12 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         for t in range(solver_config.max_iters):
             prog_before = xb.ledger.program_energy_nj
             infer_before = xb.ledger.inference_energy_nj
-            delta = compute_delta(xb, mapping, spins, degrees, params, tag=f"iter{t}")
+            delta = compute_delta(xb, spins, degrees, params)
             q = q_unit(delta, prior_delta, t, solver_config, srng)
             flips = select_flips(delta, q, solver_config, graph)
-            targeted, correct = apply_flips(xb, mapping, spins, flips, adj, f"iter{t}")
+            targeted, correct = apply_flips(xb, spins, flips, adj)
             if flips:
-                pattern_ok[flips] = _columns_hold_pattern(xb, mapping, adj, spins, flips)
+                pattern_ok[flips] = _columns_hold_pattern(xb, adj, spins, flips)
             ok = (correct == targeted) and bool(pattern_ok.all())
             traces.append(
                 IterationTrace(
@@ -361,10 +339,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
                     inference_energy_nj=xb.ledger.inference_energy_nj - infer_before,
                 )
             )
-            accurate += int(ok)
-            total_iters += 1
-            cells_targeted_sum += targeted
-            cells_correct_sum += correct
             prior_delta = delta
 
             assignment = decode_solution(graph, spins, cnf)
@@ -384,15 +358,17 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             break
 
     totals["execute_energy_nj"] = totals["init_energy_nj"] + totals["program_energy_nj"]
+    every = [tr for traces in all_traces for tr in traces]
+    targeted = sum(tr.cells_targeted for tr in every)
     return RunReport(
         verdict="SAT" if sat_assignment is not None else "Unknown",
         assignment=sat_assignment.values if sat_assignment is not None else None,
         final_spins=tuple(int(s) for s in final_spins),
         traces=all_traces,
         totals=totals,
-        iteration_accuracy=accurate / total_iters,
+        iteration_accuracy=sum(tr.iteration_accurate for tr in every) / len(every),
         cell_write_accuracy=(
-            cells_correct_sum / cells_targeted_sum if cells_targeted_sum else 1.0
+            sum(tr.cells_correct for tr in every) / targeted if targeted else 1.0
         ),
         restarts_executed=len(all_traces),
         sat_restart=sat_restart,

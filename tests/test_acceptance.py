@@ -82,8 +82,8 @@ def test_criterion_2_delta_oracle_equivalence():
         rng = np.random.default_rng(seed)
         spins = 2 * rng.integers(0, 2, n) - 1
         xb = new_crossbar(exact_device(rows=max(4, n), cols=2 * n), seed)
-        mapping = map_problem(adj, spins, xb)
-        delta = compute_delta(xb, mapping, spins, adj.sum(1), PARAMS)
+        map_problem(adj, spins, xb)
+        delta = compute_delta(xb, spins, adj.sum(1), PARAMS)
         for j in range(n):
             cases += 1
             exact_mismatch += delta[j] != delta_oracle(graph, spins, PARAMS, j)
@@ -98,9 +98,9 @@ def test_criterion_2_delta_oracle_equivalence():
         rng = np.random.default_rng(1000 + seed)
         spins = 2 * rng.integers(0, 2, n) - 1
         xb = new_crossbar(noisy, seed)
-        mapping = map_problem(adj, spins, xb)
+        map_problem(adj, spins, xb)
         degrees = adj.sum(1)
-        delta = compute_delta(xb, mapping, spins, degrees, PARAMS)
+        delta = compute_delta(xb, spins, degrees, PARAMS)
         oracle = np.array([delta_oracle(graph, spins, PARAMS, j) for j in range(n)])
         bound = PARAMS.a_pen * degrees.max() * noisy.tolerance / (
             noisy.g_state1 - noisy.g_state0
@@ -265,8 +265,8 @@ def test_criterion_8_pairwise_fault_tolerance():
         for i, j in ordered_pairs:
             for fault in ("00", "11", "invert"):
                 xb = new_crossbar(device, 1)
-                mapping = map_problem(adj, spins, xb)
-                base = compute_delta(xb, mapping, spins, degrees, PARAMS)
+                map_problem(adj, spins, xb)
+                base = compute_delta(xb, spins, degrees, PARAMS)
                 w = int(spins[j])
                 hi, lo = device.g_state1, device.g_state0
                 if fault == "00":
@@ -275,9 +275,9 @@ def test_criterion_8_pairwise_fault_tolerance():
                     pos = neg = hi
                 else:
                     pos, neg = (lo, hi) if w == 1 else (hi, lo)
-                xb.inject_fault(mapping.row(i), mapping.col_pos(j), pos)
-                xb.inject_fault(mapping.row(i), mapping.col_neg(j), neg)
-                faulted = compute_delta(xb, mapping, spins, degrees, PARAMS)
+                xb.inject_fault(i, 2 * j + 1, pos)
+                xb.inject_fault(i, 2 * j, neg)
+                faulted = compute_delta(xb, spins, degrees, PARAMS)
                 term = PARAMS.a_pen / 2 * spins[i] * spins[j]
                 expected = base.copy()
                 # Dead pairs remove the adjacency term; inversion negates it.

@@ -39,6 +39,11 @@ def test_parse_comments_and_multiline_clause():
     assert cnf.clauses[0].to_ints() == (1, 2, 3)
 
 
+def test_parse_stops_at_satlib_end_marker():
+    cnf = parse_dimacs("p cnf 3 1\n1 -2 3 0\n%\n0\n")
+    assert [c.to_ints() for c in cnf.clauses] == [(1, -2, 3)]
+
+
 def test_parse_wrong_arity_reports_line():
     with pytest.raises(DimacsError) as err:
         parse_dimacs("p cnf 3 1\n1 2 0")
@@ -56,6 +61,8 @@ def test_parse_wrong_arity_reports_line():
         ("p cnf 3 1\n1 2 3", "unterminated"),
         ("p cnf 3 1\n1 1 2 0", "repeats"),
         ("p cnf 3 1\n1 -1 2 0", "repeats"),
+        ("p cnf 3 2\n1 2 3 0\n%\n0\n-1 -2 -3 0\n", "declares 2 clauses"),
+        ("p cnf 3 1\n1 2\n%\n3 0\n", "unterminated"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -71,7 +71,7 @@ def test_program_cell_success_lands_in_window():
     xb = new_crossbar(exact_device(), seed=1)
     out = xb.program_cell(0, 0, CellState.STATE1, "init")
     assert out.landed_in_window
-    assert xb.classify(0, 0) == CellState.STATE1
+    assert xb.state[0, 0] == CellState.STATE1
     assert out.energy_nj == pytest.approx(2.8, abs=1e-9)  # nominal full swing
 
 
@@ -111,12 +111,12 @@ def test_program_pair_conventions():
     xb = new_crossbar(exact_device(), seed=1)
     # logical -1: high cell goes to the negative column (2j), per the
     # pairwise-opposite write convention.
-    xb.program_pair(0, col_pos=1, col_neg=0, logical=-1, tag="init")
-    assert xb.classify(0, 0) == CellState.STATE1
-    assert xb.classify(0, 1) == CellState.STATE0
+    xb.program_pair(0, col_pos=1, col_neg=0, logical=-1, kind="init")
+    assert xb.state[0, 0] == CellState.STATE1
+    assert xb.state[0, 1] == CellState.STATE0
     # logical 0 from fresh cells is free.
     before = xb.ledger.total_nj()
-    xb.program_pair(1, col_pos=3, col_neg=2, logical=0, tag="init")
+    xb.program_pair(1, col_pos=3, col_neg=2, logical=0, kind="init")
     assert xb.ledger.total_nj() == before
 
 
@@ -124,7 +124,7 @@ def test_program_pair_flip_costs_two_transitions():
     xb = new_crossbar(exact_device(), seed=1)
     xb.program_pair(0, 1, 0, -1, "init")
     before = xb.ledger.program_energy_nj
-    xb.program_pair(0, 1, 0, 1, "flip")
+    xb.program_pair(0, 1, 0, 1, "program")
     flip_cost = xb.ledger.program_energy_nj - before
     assert flip_cost == pytest.approx(2 * 2.8, abs=1e-9)
 
@@ -137,6 +137,8 @@ def test_program_pair_validation():
         xb.program_pair(0, 1, 0, 5)
     with pytest.raises(IndexError):
         xb.program_cell(99, 0, CellState.STATE1)
+    with pytest.raises(ValueError):
+        xb.program_cell(0, 0, CellState.STATE1, "flip")
 
 
 def test_read_columns_currents_and_energy():
@@ -213,9 +215,9 @@ def test_differential_nullification():
 def test_inject_fault_and_classify():
     xb = new_crossbar(DeviceConfig(), seed=1)
     xb.inject_fault(2, 3, 45.0)
-    assert xb.classify(2, 3) == CellState.INDETERMINATE
+    assert xb.state[2, 3] == CellState.INDETERMINATE
     xb.inject_fault(2, 3, 70.0)
-    assert xb.classify(2, 3) == CellState.STATE1
+    assert xb.state[2, 3] == CellState.STATE1
     assert xb.ledger.total_nj() == 0.0
     with pytest.raises(IndexError):
         xb.inject_fault(99, 0, 20.0)
@@ -224,18 +226,23 @@ def test_inject_fault_and_classify():
 def test_ledger_completeness_and_determinism():
     def exercise(seed):
         xb = new_crossbar(DeviceConfig(), seed=seed)
-        for col in range(8):
+        outcomes = [
             xb.program_pair(col % 4, 2 * (col % 8) + 1, 2 * (col % 8), 1, "init")
+            for col in range(8)
+        ]
         xb.read_columns(np.ones(32, dtype=int))
-        return xb
+        return xb, outcomes
 
-    xb1, xb2 = exercise(5), exercise(5)
-    assert xb1.ledger.events == xb2.ledger.events
+    (xb1, out1), (xb2, out2) = exercise(5), exercise(5)
+    assert out1 == out2
     assert (xb1.conductance == xb2.conductance).all()
-    total = sum(ev.energy_nj for ev in xb1.ledger.events)
-    assert total == pytest.approx(xb1.ledger.total_nj())
-    xb3 = exercise(6)
-    assert xb3.ledger.events != xb1.ledger.events
+    writes = sum(out.energy_nj for pair in out1 for out in pair)
+    assert writes == pytest.approx(xb1.ledger.init_energy_nj)
+    assert xb1.ledger.init_energy_nj + xb1.ledger.inference_energy_nj == pytest.approx(
+        xb1.ledger.total_nj()
+    )
+    _, out3 = exercise(6)
+    assert out3 != out1
 
 
 def test_snapshot_csv():

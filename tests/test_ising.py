@@ -10,7 +10,6 @@ from ising_reram import (
     decode_solution,
     delta_oracle,
     exhaustive_ground_state,
-    export_edge_list,
     graph_from_edges,
     hamiltonian_energy,
     kernel_decompose,
@@ -214,11 +213,6 @@ def test_params_validation():
 def test_kernel_decompose_rejects_non_reduction_graph():
     with pytest.raises(CnfError):
         kernel_decompose(graph_from_edges(4, [(0, 1)]))
-
-
-def test_export_edge_list():
-    g = graph_from_edges(3, [(0, 1), (1, 2)])
-    assert export_edge_list(g) == "3 2\n0 1\n1 2\n"
 
 
 def _clause_pair_edges(cnf):

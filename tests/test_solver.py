@@ -6,6 +6,7 @@ import pytest
 
 from ising_reram import (
     CellState,
+    Crossbar,
     DeviceConfig,
     HamiltonianParams,
     IterationTrace,
@@ -45,8 +46,8 @@ def build_problem(cnf, seed=0, device=None):
     rng = np.random.default_rng(seed)
     spins = 2 * rng.integers(0, 2, n) - 1
     xb = new_crossbar(device, seed)
-    mapping = map_problem(adj, spins, xb)
-    return g, adj, spins, xb, mapping
+    map_problem(adj, spins, xb)
+    return g, adj, spins, xb
 
 
 def count_high_cells(xb):
@@ -56,14 +57,14 @@ def count_high_cells(xb):
 def test_map_problem_single_clause_high_cell_count():
     cnf = random_3sat(3, 1, 0)
     for seed in range(5):
-        _, _, _, xb, _ = build_problem(cnf, seed=seed, device=exact_device())
+        _, _, _, xb = build_problem(cnf, seed=seed, device=exact_device())
         assert count_high_cells(xb) == 6
 
 
 def test_map_problem_three_x_high_cells(three_x):
-    _, _, _, xb, mapping = build_problem(three_x, seed=1)
+    g, _, _, xb = build_problem(three_x, seed=1)
     assert count_high_cells(xb) == 18
-    assert mapping.num_nodes == 6
+    assert g.num_nodes == 6
 
 
 def test_map_problem_dimension_error():
@@ -79,8 +80,8 @@ def test_compute_delta_matches_oracle_exactly_ideal():
     cases = 0
     for seed in range(200):
         cnf = random_3sat(3 + seed % 4, 1 + seed % 4, seed)
-        g, adj, spins, xb, mapping = build_problem(cnf, seed=seed)
-        delta = compute_delta(xb, mapping, spins, adj.sum(1), PARAMS)
+        g, adj, spins, xb = build_problem(cnf, seed=seed)
+        delta = compute_delta(xb, spins, adj.sum(1), PARAMS)
         for j in range(g.num_nodes):
             assert delta[j] == delta_oracle(g, spins, PARAMS, j)
             cases += 1
@@ -92,8 +93,8 @@ def test_compute_delta_two_adjacent_nodes():
     adj = adjacency_matrix(g)
     xb = new_crossbar(exact_device(rows=4, cols=4), seed=0)
     spins = np.array([1, 1])
-    mapping = map_problem(adj, spins, xb)
-    delta = compute_delta(xb, mapping, spins, adj.sum(1), PARAMS)
+    map_problem(adj, spins, xb)
+    delta = compute_delta(xb, spins, adj.sum(1), PARAMS)
     assert list(delta) == [-1.0, -1.0]
 
 
@@ -102,8 +103,8 @@ def test_compute_delta_isolated_node():
     adj = adjacency_matrix(g)
     xb = new_crossbar(exact_device(rows=4, cols=4), seed=0)
     spins = np.array([-1])
-    mapping = map_problem(adj, spins, xb)
-    delta = compute_delta(xb, mapping, spins, adj.sum(1), PARAMS)
+    map_problem(adj, spins, xb)
+    delta = compute_delta(xb, spins, adj.sum(1), PARAMS)
     assert delta[0] == -PARAMS.b_pen
 
 
@@ -115,9 +116,9 @@ def test_compute_delta_noisy_in_window_bound():
         device = DeviceConfig(
             rows=16, cols=32, p_cell_success=1.0, energy_noise_sigma=0.0
         )
-        g, adj, spins, xb, mapping = build_problem(cnf, seed=seed, device=device)
+        g, adj, spins, xb = build_problem(cnf, seed=seed, device=device)
         degrees = adj.sum(1)
-        delta = compute_delta(xb, mapping, spins, degrees, PARAMS)
+        delta = compute_delta(xb, spins, degrees, PARAMS)
         bound = PARAMS.a_pen * degrees * device.tolerance / (
             device.g_state1 - device.g_state0
         )
@@ -188,26 +189,26 @@ def test_select_flips_max_control():
 
 
 def test_apply_flips_write_counts(three_x):
-    g, adj, spins, xb, mapping = build_problem(three_x, seed=2)
+    g, adj, spins, xb = build_problem(three_x, seed=2)
     # Every 3-X node has degree 3: 3 pairs, 6 cell writes.
-    targeted, correct = apply_flips(xb, mapping, spins, [0], adj, "iter0")
+    targeted, correct = apply_flips(xb, spins, [0], adj)
     assert targeted == 6
     assert correct == 6
 
 
 def test_apply_flips_empty_set():
     cnf = random_3sat(3, 1, 0)
-    g, adj, spins, xb, mapping = build_problem(cnf, seed=0)
+    g, adj, spins, xb = build_problem(cnf, seed=0)
     before = xb.ledger.total_nj()
-    targeted, correct = apply_flips(xb, mapping, spins, [], adj, "iter0")
+    targeted, correct = apply_flips(xb, spins, [], adj)
     assert (targeted, correct) == (0, 0)
     assert xb.ledger.total_nj() == before
 
 
 def test_apply_flips_degree_counts():
     cnf = paper_instances()["1-X"]  # node 1 (lit -2) has degree 3, node 0 degree 2
-    g, adj, spins, xb, mapping = build_problem(cnf, seed=3)
-    targeted, _ = apply_flips(xb, mapping, spins, [0], adj, "t")
+    g, adj, spins, xb = build_problem(cnf, seed=3)
+    targeted, _ = apply_flips(xb, spins, [0], adj)
     assert targeted == 4  # degree-2 node: 2 pairs
 
 
@@ -216,9 +217,36 @@ def test_apply_flips_degree_one_node():
     adj = adjacency_matrix(g)
     xb = new_crossbar(exact_device(rows=4, cols=4), seed=0)
     spins = np.array([1, 1])
-    mapping = map_problem(adj, spins, xb)
-    targeted, _ = apply_flips(xb, mapping, spins, [1], adj, "t")
+    map_problem(adj, spins, xb)
+    targeted, _ = apply_flips(xb, spins, [1], adj)
     assert targeted == 2  # one adjacency pair
+
+
+def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
+    # The write order fixes which device draws each cell gets.
+    calls = []
+    program_pair = Crossbar.program_pair
+
+    def recording_pair(self, row, col_pos, col_neg, logical, kind="program"):
+        calls.append((row, col_pos, col_neg, logical, kind))
+        return program_pair(self, row, col_pos, col_neg, logical, kind)
+
+    monkeypatch.setattr(Crossbar, "program_pair", recording_pair)
+    adj = adjacency_matrix(build_graph(three_x))
+    spins = np.array([1, -1, -1, 1, 1, -1])
+    xb = new_crossbar(exact_device(rows=6, cols=12), seed=0)
+    map_problem(adj, spins, xb)
+    cols, rows = np.nonzero(adj.T)
+    assert calls == [
+        (i, 2 * j + 1, 2 * j, int(spins[j]), "init") for j, i in zip(cols.tolist(), rows.tolist())
+    ]
+    calls.clear()
+    apply_flips(xb, spins, [5, 2], adj)
+    assert calls == [
+        (i, 2 * j + 1, 2 * j, int(spins[j]), "program")
+        for j in (2, 5)
+        for i in np.flatnonzero(adj[:, j]).tolist()
+    ]
 
 
 def test_no_false_sat_under_extreme_noise():
@@ -232,39 +260,39 @@ def test_no_false_sat_under_extreme_noise():
 
 
 def test_energy_descent_greedy_exact(three_x):
-    g, adj, spins, xb, mapping = build_problem(three_x, seed=4)
+    g, adj, spins, xb = build_problem(three_x, seed=4)
     degrees = adj.sum(1)
     cfg = SolverConfig()
     for _ in range(10):
         energy_before = hamiltonian_energy(g, spins, PARAMS)
-        delta = compute_delta(xb, mapping, spins, degrees, PARAMS)
+        delta = compute_delta(xb, spins, degrees, PARAMS)
         flips = select_flips(delta, 0.0, cfg, g)
         if not flips:
             break
-        apply_flips(xb, mapping, spins, flips, adj, "t")
+        apply_flips(xb, spins, flips, adj)
         energy_after = hamiltonian_energy(g, spins, PARAMS)
         assert energy_after == energy_before + sum(delta[j] for j in flips)
         assert energy_after < energy_before
 
 
 def test_column_spin_coherence_after_flips(three_x):
-    g, adj, spins, xb, mapping = build_problem(three_x, seed=5)
-    assert _mapped_pattern_ok(xb, mapping, adj, spins)
+    g, adj, spins, xb = build_problem(three_x, seed=5)
+    assert _mapped_pattern_ok(xb, adj, spins)
     for flip in ([0], [3], [2]):
-        apply_flips(xb, mapping, spins, flip, adj, "t")
-        assert _mapped_pattern_ok(xb, mapping, adj, spins)
+        apply_flips(xb, spins, flip, adj)
+        assert _mapped_pattern_ok(xb, adj, spins)
 
 
 def test_pairwise_fault_tolerance_exact(three_x):
-    g, adj, spins, xb, mapping = build_problem(three_x, seed=6)
+    g, adj, spins, xb = build_problem(three_x, seed=6)
     degrees = adj.sum(1)
-    base = compute_delta(xb, mapping, spins, degrees, PARAMS)
+    base = compute_delta(xb, spins, degrees, PARAMS)
     i, j = sorted(g.edges)[0]
     term = PARAMS.a_pen / 2 * spins[i] * spins[j]
     # Dead pair (both low): the adjacency term drops out of column j only.
-    xb.inject_fault(mapping.row(i), mapping.col_pos(j), 20.0)
-    xb.inject_fault(mapping.row(i), mapping.col_neg(j), 20.0)
-    faulted = compute_delta(xb, mapping, spins, degrees, PARAMS)
+    xb.inject_fault(i, 2 * j + 1, 20.0)
+    xb.inject_fault(i, 2 * j, 20.0)
+    faulted = compute_delta(xb, spins, degrees, PARAMS)
     assert faulted[j] == base[j] + term
     others = [k for k in range(g.num_nodes) if k != j]
     assert (faulted[others] == base[others]).all()
@@ -402,10 +430,9 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
     )
 
     def recording_map(adj, spins, xb):
-        mapping = map_problem_(adj, spins, xb)
-        live.update(adj=adj, spins=spins, xb=xb, mapping=mapping, pattern_ok=None)
+        map_problem_(adj, spins, xb)
+        live.update(adj=adj, spins=spins, xb=xb, pattern_ok=None)
         crossbars.append(xb)
-        return mapping
 
     def recording_columns(*args):
         out = columns_(*args)
@@ -414,7 +441,7 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
         return out
 
     def checking_decode(*args):
-        oracle = _mapped_pattern_ok(live["xb"], live["mapping"], live["adj"], live["spins"])
+        oracle = _mapped_pattern_ok(live["xb"], live["adj"], live["spins"])
         assert bool(live["pattern_ok"].all()) == oracle
         verdicts.append(oracle)
         return decode_(*args)
@@ -447,5 +474,5 @@ def test_sensed_grid_matches_window_classification(monkeypatch):
         for state, nominal in ((CellState.STATE0, cfg.g_state0), (CellState.STATE1, cfg.g_state1)):
             expected[(g >= nominal - cfg.tolerance) & (g <= nominal + cfg.tolerance)] = int(state)
         assert np.array_equal(xb.classify_grid(), expected)
-        assert xb.classify(4, 5) == CellState(expected[4, 5])
+        assert xb.state[4, 5] == expected[4, 5]
     assert set(np.unique(crossbars[-1].classify_grid()).tolist()) == {0, 1, 2}
