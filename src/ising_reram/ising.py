@@ -169,6 +169,8 @@ def _check_spins(graph: IsingGraph, spins: Sequence[int]) -> np.ndarray:
         raise ValueError(
             f"spin vector has shape {arr.shape}, expected ({graph.num_nodes},)"
         )
+    if not ((arr == 1) | (arr == -1)).all():
+        raise ValueError("spin entries must be -1 or +1")
     return arr.astype(np.int64)
 
 

@@ -8,7 +8,10 @@ current spins, recovers the quadratic part of the per-node flip costs, applies
 the linear degree/reward bias digitally (the summer, threshold, q, and spin
 units all live off-array), compares the costs against a dynamic threshold,
 flips up to k mutually non-adjacent nodes, and reprograms only the flipped
-columns.
+columns.  The array is read only after a change: an iteration that flipped
+nothing left the spins and the array as they were, and the device models no
+read noise, so the next iteration keeps the last costs in the summer's
+register instead of reading again.
 
 The flip cost is the true energy change delta_j of flipping node j, so the
 candidate rule "delta_j below the threshold" is literal: the loop is greedy
@@ -289,10 +292,14 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
 
     Each restart draws fresh random spins and a fresh array from seeds derived
     from (seed, restart index), so restarts are independent and the whole run
-    is reproducible.  After every iteration the spin state is decoded; a
-    verified assignment ends the run with verdict SAT (unless
-    ``profile_iterations`` is set, in which case every restart runs its full
-    iteration budget and the first verified decode is reported at the end).
+    is reproducible.  The array is read, and the spin state decoded, at the
+    start of a restart and after every change; an iteration that follows one
+    with no flip keeps the last delta (the model has no read noise) and
+    records an inference energy of 0.  A verified assignment ends the run
+    with verdict SAT (unless ``profile_iterations`` is set, in which case
+    every restart runs its full iteration budget and the first verified
+    decode is reported at the end; only such runs have iterations after one
+    with no flip).
     """
     graph = build_graph(cnf)
     adj = adjacency_matrix(graph)
@@ -319,7 +326,9 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         for t in range(solver_config.max_iters):
             prog_before = xb.ledger.program_energy_nj
             infer_before = xb.ledger.inference_energy_nj
-            delta = compute_delta(xb, spins, degrees, params)
+            if t == 0 or flips:  # otherwise the array is unchanged: keep the last delta
+                delta = compute_delta(xb, spins, degrees, params)
+                delta_tuple = tuple(delta.tolist())
             q = q_unit(delta, prior_delta, t, solver_config, srng)
             flips = select_flips(delta, q, solver_config, graph)
             targeted, correct = apply_flips(xb, spins, flips, adj)
@@ -329,7 +338,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             traces.append(
                 IterationTrace(
                     t=t,
-                    delta=tuple(delta.tolist()),
+                    delta=delta_tuple,
                     q=float(q),
                     flipped=tuple(flips),
                     cells_targeted=targeted,
@@ -341,7 +350,8 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             )
             prior_delta = delta
 
-            assignment = decode_solution(graph, spins, cnf)
+            if t == 0 or flips:  # otherwise the spins are unchanged: keep the last decode
+                assignment = decode_solution(graph, spins, cnf)
             if assignment is not None and sat_assignment is None:
                 sat_assignment = assignment
                 sat_restart, sat_iteration = restart, t

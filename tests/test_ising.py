@@ -123,6 +123,23 @@ def test_hamiltonian_length_check():
         hamiltonian_energy(g, [1, 1], PARAMS)
 
 
+@pytest.mark.parametrize("bad", [0, 2, 1.7])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, s, cnf: hamiltonian_energy(g, s, PARAMS),
+        lambda g, s, cnf: delta_oracle(g, s, PARAMS, 0),
+        lambda g, s, cnf: decode_solution(g, s, cnf),
+    ],
+    ids=["hamiltonian_energy", "delta_oracle", "decode_solution"],
+)
+def test_spin_entries_must_be_plus_or_minus_one(three_x, call, bad):
+    g = build_graph(three_x)
+    spins = [bad, 1, -1, -1, -1, -1]
+    with pytest.raises(ValueError, match="spin entries must be -1 or \\+1"):
+        call(g, spins, three_x)
+
+
 def test_delta_examples():
     pair = graph_from_edges(2, [(0, 1)])
     assert delta_oracle(pair, [1, 1], PARAMS, 1) == -1.0

@@ -17,6 +17,7 @@ from ising_reram import (
     apply_flips,
     build_graph,
     compute_delta,
+    decode_solution,
     delta_oracle,
     graph_from_edges,
     hamiltonian_energy,
@@ -32,7 +33,8 @@ from ising_reram import (
     verify_assignment,
 )
 import ising_reram.solver as solver_module
-from ising_reram.solver import _mapped_pattern_ok
+from ising_reram.solver import _mapped_pattern_ok, random_spins
+from ising_reram.util import derive_seed, substream
 from conftest import exact_device, unsat_eight_clause
 
 PARAMS = HamiltonianParams()
@@ -395,6 +397,88 @@ def test_profile_mode_runs_full_budget(three_x):
     assert [len(traces) for traces in report.traces] == [7, 7]
 
 
+def _hand_loop(cnf, device, config):
+    """The solver loop from the public functions, reading and decoding every iteration.
+
+    Returns one list of iteration rows per restart and the first verified
+    assignment (or None).
+    """
+    graph = build_graph(cnf)
+    adj = adjacency_matrix(graph)
+    degrees = adj.sum(axis=1)
+    restarts, found = [], None
+    for restart in range(config.restarts):
+        rng = substream(config.seed, restart, 0)
+        spins = random_spins(graph.num_nodes, rng)
+        xb = new_crossbar(device, derive_seed(config.seed, restart, 1))
+        map_problem(adj, spins, xb)
+        prior, rows = None, []
+        for t in range(config.max_iters):
+            before = xb.ledger.inference_energy_nj
+            delta = compute_delta(xb, spins, degrees, config.hamiltonian)
+            read_nj = xb.ledger.inference_energy_nj - before
+            q = q_unit(delta, prior, t, config, rng)
+            flips = select_flips(delta, q, config, graph)
+            targeted, correct = apply_flips(xb, spins, flips, adj)
+            accurate = correct == targeted and _mapped_pattern_ok(xb, adj, spins)
+            rows.append(
+                (t, tuple(delta.tolist()), q, tuple(flips), targeted, correct, accurate, read_nj)
+            )
+            assignment = decode_solution(graph, spins, cnf)
+            if found is None and assignment is not None:
+                found = assignment
+            prior = delta
+        restarts.append(rows)
+    return restarts, found
+
+
+@pytest.mark.parametrize("p_cell_success", [0.6, 0.99])  # 0.99 mixes accurate iterations in
+def test_run_reads_and_decodes_only_after_a_change(monkeypatch, p_cell_success):
+    cnf = random_3sat(5, 8, 4)
+    device = DeviceConfig(rows=24, cols=48, p_cell_success=p_cell_success)
+    config = SolverConfig(restarts=3, max_iters=60, seed=2, profile_iterations=True)
+    expected, found = _hand_loop(cnf, device, config)
+
+    calls = {"read": 0, "decode": 0}
+    read_, decode_ = Crossbar.read_columns, solver_module.decode_solution
+
+    def counting_read(self, drive):
+        calls["read"] += 1
+        return read_(self, drive)
+
+    def counting_decode(*args):
+        calls["decode"] += 1
+        return decode_(*args)
+
+    monkeypatch.setattr(Crossbar, "read_columns", counting_read)
+    monkeypatch.setattr(solver_module, "decode_solution", counting_decode)
+    report = run(cnf, device, config)
+
+    assert [len(r) for r in report.traces] == [config.max_iters] * config.restarts
+    skipped = flipping = 0
+    for traces, rows in zip(report.traces, expected):
+        for tr, row in zip(traces, rows):
+            assert (
+                tr.t, tr.delta, tr.q, tr.flipped, tr.cells_targeted, tr.cells_correct,
+                tr.iteration_accurate,
+            ) == row[:7]
+            if tr.t > 0 and not traces[tr.t - 1].flipped:
+                skipped += 1
+                assert tr.inference_energy_nj == 0.0
+            else:
+                # Both sides take the read's energy as a difference of running
+                # totals that were summed over different reads.
+                assert tr.inference_energy_nj == pytest.approx(row[7], rel=1e-12)
+            flipping += tr.t > 0 and bool(tr.flipped)
+    assert skipped > 0 and flipping > 0
+    assert report.verdict == ("SAT" if found is not None else "Unknown")
+    assert report.assignment == (found.values if found is not None else None)
+
+    flips_not_last = sum(bool(tr.flipped) for r in report.traces for tr in r[:-1])
+    assert calls["read"] == config.restarts + flips_not_last
+    assert calls["decode"] == config.restarts + flipping
+
+
 def test_solver_config_json_round_trip():
     doc = {
         "device": {"rows": 16, "cols": 16},
@@ -419,14 +503,15 @@ def test_solver_config_validation():
 def _noisy_run_checking_verify(monkeypatch, p_cell_success):
     """Solve on a noisy 18x36 device, checking every iteration's verify.
 
-    At each decode (once per iteration, after the flips are written) the
-    per-node pattern vector that `run` keeps must agree with the
-    whole-array oracle.  Returns the run's crossbars and the oracle's
+    At each trace (built once per iteration, after the flips are written and
+    the pattern vector is refreshed) the per-node pattern vector that `run`
+    keeps must agree with the whole-array oracle, and the trace's verdict
+    must follow from it.  Returns the run's crossbars and the oracle's
     verdict per iteration.
     """
     live, crossbars, verdicts = {}, [], []
-    map_problem_, columns_, decode_ = (
-        solver_module.map_problem, solver_module._columns_hold_pattern, solver_module.decode_solution
+    map_problem_, columns_, trace_ = (
+        solver_module.map_problem, solver_module._columns_hold_pattern, solver_module.IterationTrace
     )
 
     def recording_map(adj, spins, xb):
@@ -440,15 +525,18 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
             live["pattern_ok"] = out
         return out
 
-    def checking_decode(*args):
+    def checking_trace(**fields):
         oracle = _mapped_pattern_ok(live["xb"], live["adj"], live["spins"])
         assert bool(live["pattern_ok"].all()) == oracle
+        assert fields["iteration_accurate"] == (
+            oracle and fields["cells_correct"] == fields["cells_targeted"]
+        )
         verdicts.append(oracle)
-        return decode_(*args)
+        return trace_(**fields)
 
     monkeypatch.setattr(solver_module, "map_problem", recording_map)
     monkeypatch.setattr(solver_module, "_columns_hold_pattern", recording_columns)
-    monkeypatch.setattr(solver_module, "decode_solution", checking_decode)
+    monkeypatch.setattr(solver_module, "IterationTrace", checking_trace)
     device = DeviceConfig(rows=18, cols=36, p_cell_success=p_cell_success)
     solver = SolverConfig(restarts=4, max_iters=25, seed=3, profile_iterations=True)
     report = run(random_3sat(5, 6, 11), device, solver)
