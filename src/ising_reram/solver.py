@@ -23,7 +23,7 @@ random threshold q = -T * ln(u).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .ising import (
     build_graph,
     decode_solution,
 )
-from .util import derive_seed, field_dict, from_mapping, indented_json, substream
+from .util import derive_seed, field_dict, from_mapping, substream
 
 
 class MappingError(ValueError):
@@ -60,6 +60,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if not self.t0 >= 0.0:
+            raise ValueError(f"t0 must be >= 0, got {self.t0}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.max_iters < 1 or self.restarts < 1:
@@ -124,18 +126,18 @@ class RunReport:
     sat_iteration: Optional[int] = None
 
     def to_json_dict(self) -> dict:
+        """Report fields as JSON values.  Trace entries leave out ``delta``: one
+        cost per node per iteration would be most of a report's bytes."""
         out = field_dict(self)
-        out["traces"] = [[field_dict(tr) for tr in restart] for restart in self.traces]
+        keep = [f.name for f in fields(IterationTrace) if f.name != "delta"]
+        out["traces"] = [[{k: getattr(tr, k) for k in keep} for tr in restart]
+                         for restart in self.traces]
         return out
 
 
 def report_to_json(report: RunReport) -> str:
-    """Stable JSON encoding (sorted keys) so identical runs match byte-wise.
-
-    The text equals ``json.dumps(report.to_json_dict(), indent=2,
-    sort_keys=True) + "\\n"``.
-    """
-    return indented_json(report.to_json_dict()) + "\n"
+    """Stable JSON encoding (sorted keys) so identical runs match byte-wise."""
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:

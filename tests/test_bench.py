@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -215,11 +216,17 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ([1, 2], "document"),
         ({"device": {"energy_curve": [[1]]}}, "energy_curve point [1]"),
         ({"device": {"energy_curve": [[0, 0], [10, 1, 2], [100, 5]]}}, "energy_curve point [10, 1, 2]"),
+        ({"device": {"v_read": math.nan}}, "DeviceConfig.v_read"),
+        ({"device": {"miss_spread": math.inf}}, "DeviceConfig.miss_spread"),
+        ({"device": {"energy_curve": [[0, 0], [math.nan, 1], [100, 5]]}}, "DeviceConfig.energy_curve"),
+        ({"solver": {"t0": math.nan}}, "SolverConfig.t0"),
+        ({"solver": {"t0": -1.0}}, "t0"),
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",
         "string-k", "unknown-solver-key", "bad-penalties", "list-document",
         "one-number-curve-point", "three-number-curve-point",
+        "nan-v-read", "inf-miss-spread", "nan-curve-point", "nan-t0", "negative-t0",
     ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc, named):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -326,6 +327,7 @@ def test_run_determinism(three_x):
     rep1 = run(three_x, device, cfg)
     rep2 = run(three_x, device, cfg)
     assert report_to_json(rep1) == report_to_json(rep2)
+    assert rep1.traces == rep2.traces  # delta included, which the JSON leaves out
     rep3 = run(three_x, device, SolverConfig(seed=22))
     assert report_to_json(rep3) != report_to_json(rep1)
 
@@ -364,6 +366,22 @@ def test_report_json_matches_stdlib_encoder(three_x):
     assert len(noisy.traces) == 3
     for report in (sat, unknown, noisy, _synthetic_report()):
         assert report_to_json(report) == _stdlib_report_json(report)
+
+
+def test_report_json_is_slim_and_strict():
+    report = run(random_3sat(13, 40, 5), DeviceConfig(rows=120, cols=240),
+                 SolverConfig(restarts=2, max_iters=300, seed=5, profile_iterations=True))
+    text = report_to_json(report)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    parsed = json.loads(text, parse_constant=reject)
+    json_keys = {f.name for f in dataclasses.fields(IterationTrace)} - {"delta"}
+    assert [len(r) for r in parsed["traces"]] == [300, 300]
+    assert all(set(entry) == json_keys for r in parsed["traces"] for entry in r)
+    assert all(len(tr.delta) == 120 for r in report.traces for tr in r)
+    assert len(text.encode()) < 200_000
 
 
 def test_run_report_energy_traceability(three_x):
