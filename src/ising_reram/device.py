@@ -24,10 +24,17 @@ noise, no retention drift.
 cell, kept up to date by ``program_cell`` and ``inject_fault`` so that reading
 it costs no pass over ``conductance``.  Assigning to ``conductance`` directly
 bypasses it.
+
+``Crossbar.program`` writes an ordered batch of cells in one call: a cell that
+already holds its target costs nothing and issues no pulse, and every other
+cell goes through ``program_cell`` in order, so a batch draws from the
+device's generator exactly as the same writes made one by one.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -57,6 +64,15 @@ class CellState(IntEnum):
     STATE0 = 0
     STATE1 = 1
     INDETERMINATE = 2
+
+
+# The states as plain ints, for the per-cell paths (an IntEnum compares equal to its int).
+_STATE0, _STATE1, _INDETERMINATE = map(int, CellState)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("init", "program"):
+        raise ValueError(f"write kind must be 'init' or 'program', got {kind!r}")
 
 
 class DeviceConfigError(ValueError):
@@ -114,15 +130,30 @@ class DeviceConfig:
         object.__setattr__(self, "energy_curve", tuple(curve))
 
     @cached_property
-    def _curve_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        gs = np.array([g for g, _ in self.energy_curve])
-        es = np.array([e for _, e in self.energy_curve])
-        return gs, es
+    def _curve_segments(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """Curve anchors and per-segment slopes as plain floats."""
+        gs = tuple(g for g, _ in self.energy_curve)
+        es = tuple(e for _, e in self.energy_curve)
+        slopes = tuple((e1 - e0) / (g1 - g0) for g0, g1, e0, e1 in zip(gs, gs[1:], es, es[1:]))
+        return gs, es, slopes
 
     def stored_energy_nj(self, conductance: float) -> float:
-        """Piecewise-linear stored energy at a conductance (uS -> nJ)."""
-        gs, es = self._curve_arrays
-        return float(np.interp(conductance, gs, es))
+        """Piecewise-linear stored energy at a conductance (uS -> nJ).
+
+        Bit for bit what ``np.interp`` returns, without its per-call overhead:
+        the end values outside the curve, the anchor value on an anchor, and
+        otherwise slope * (x - g_j) + e_j with the slope taken as numpy takes
+        it.  A non-finite conductance goes to ``np.interp`` itself.
+        """
+        gs, es, slopes = self._curve_segments
+        if not math.isfinite(conductance):
+            return float(np.interp(conductance, gs, es))
+        j = bisect_right(gs, conductance) - 1
+        if j < 0:
+            return es[0]
+        if j >= len(slopes) or gs[j] == conductance:
+            return es[j]
+        return slopes[j] * (conductance - gs[j]) + es[j]
 
     @cached_property
     def _targets(self) -> dict[int, tuple[float, float, float]]:
@@ -132,12 +163,20 @@ class DeviceConfig:
             for state, g in ((CellState.STATE0, self.g_state0), (CellState.STATE1, self.g_state1))
         }
 
+    @cached_property
+    def _window_bounds(self) -> tuple[float, float, float, float]:
+        """(low, high) of the STATE0 window, then of the STATE1 window."""
+        (lo0, hi0, _), (lo1, hi1, _) = self._targets[_STATE0], self._targets[_STATE1]
+        return lo0, hi0, lo1, hi1
+
     def _sense(self, conductance: float) -> int:
         """Window classification of one conductance as a plain CellState int."""
-        for state, (lo, hi, _) in self._targets.items():
-            if lo <= conductance <= hi:
-                return state
-        return int(CellState.INDETERMINATE)
+        lo0, hi0, lo1, hi1 = self._window_bounds
+        if lo0 <= conductance <= hi0:
+            return _STATE0
+        if lo1 <= conductance <= hi1:
+            return _STATE1
+        return _INDETERMINATE
 
     def classify_value(self, conductance: float) -> CellState:
         return CellState(self._sense(conductance))
@@ -227,8 +266,7 @@ class Crossbar:
         energy goes to the ledger total ``kind``, "init" or "program".
         """
         self._check_coords(row, col)
-        if kind not in ("init", "program"):
-            raise ValueError(f"write kind must be 'init' or 'program', got {kind!r}")
+        _check_kind(kind)
         cfg = self.config
         window = cfg._targets.get(target)
         if window is None:
@@ -249,12 +287,39 @@ class Crossbar:
             final = float(self.rng.normal(nominal, cfg.miss_spread))
         curve = cfg.energy_curve
         final = min(max(final, curve[0][0]), curve[-1][0])
-        e_final, e_start = np.interp((final, start), *cfg._curve_arrays).tolist()
-        energy = abs(e_final - e_start) * self._energy_noise()
+        swing = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
+        energy = swing * self._energy_noise()
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
         self.state[row, col] = cfg._sense(final)
         return WriteOutcome(final, lo <= final <= hi, energy)
+
+    def program(
+        self, cells: Sequence[tuple[int, int, int]], kind: str = "program"
+    ) -> tuple[int, int]:
+        """Write an ordered batch of distinct (row, col, target) cells.
+
+        Returns (cells targeted, cells in their target window afterwards).  A
+        cell already holding its target is counted as landed without a call to
+        :meth:`program_cell`, which would skip it at no cost and with no draw;
+        every other cell is written by :meth:`program_cell` in the given order,
+        so the batch makes the same draws as the same writes made one by one.
+        A target is a writable ``CellState`` (or 0/1, False/True).
+        """
+        _check_kind(kind)
+        rows, cols = self.config.rows, self.config.cols
+        held = self.state.item
+        write = self.program_cell
+        landed = 0
+        for row, col, target in cells:
+            # Out-of-range cells and the indeterminate target fall through to
+            # program_cell, which raises for them.
+            in_range = 0 <= row < rows and 0 <= col < cols
+            if in_range and target != _INDETERMINATE and held(row, col) == target:
+                landed += 1
+            else:
+                landed += write(row, col, target, kind).landed_in_window
+        return len(cells), landed
 
     def program_pair(
         self, row: int, col_pos: int, col_neg: int, logical: int, kind: str = "program"

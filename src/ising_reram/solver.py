@@ -168,18 +168,18 @@ def _program_columns(
 ) -> tuple[int, int]:
     """Write the pairs of the columns of ``nodes`` in order, rows ascending.
 
-    The write order fixes which device draws each cell gets.  Returns (cells
-    targeted, cells that landed in their window).
+    Each pair is written positive cell first, in one ``Crossbar.program``
+    batch.  The write order fixes which device draws each cell gets.  Returns
+    (cells targeted, cells that landed in their window).
     """
     signs = np.asarray(spins, dtype=np.int64).tolist()
-    targeted = correct = 0
     cols, rows = np.nonzero(adj[:, nodes].T)
+    cells = []
     for c, i in zip(cols.tolist(), rows.tolist()):
         j = nodes[c]
-        out_pos, out_neg = xb.program_pair(i, 2 * j + 1, 2 * j, signs[j], kind)
-        targeted += 2
-        correct += out_pos.landed_in_window + out_neg.landed_in_window
-    return targeted, correct
+        # STATE1 is 1 and STATE0 is 0, so "holds a high cell" is the target.
+        cells += (i, 2 * j + 1, signs[j] > 0), (i, 2 * j, signs[j] < 0)
+    return xb.program(cells, kind)
 
 
 def compute_delta(
@@ -213,17 +213,22 @@ def q_unit(
     t: int,
     config: SolverConfig,
     rng: np.random.Generator,
+    prior_sigma: Optional[float] = None,
 ) -> float:
     """Dynamic flip threshold.
 
     Greedy mode (q = 0) whenever an improving move exists; otherwise a
     Metropolis threshold q = -T_t * ln(u) with T_t scaled by the spread of the
     previous iteration's flip costs (falling back to b_pen when there is no
-    usable prior).
+    usable prior).  ``prior_sigma`` is that spread, ``np.std(prior_delta)``,
+    when the caller already holds it.
     """
     if np.any(delta < 0):
         return 0.0
-    sigma = float(np.std(prior_delta)) if prior_delta is not None else 0.0
+    if prior_sigma is not None:
+        sigma = prior_sigma
+    else:
+        sigma = float(np.std(prior_delta)) if prior_delta is not None else 0.0
     if sigma <= 0.0:
         sigma = config.b_pen
     temperature = config.t0 * (config.alpha ** t) * sigma
@@ -262,6 +267,8 @@ def apply_flips(
     Only rows adjacent to a flipped node are rewritten (kind "program"), two
     cells per pair.  Returns (cells targeted, cells that landed in their window).
     """
+    if not flips:
+        return 0, 0
     for j in flips:
         spins[j] = -spins[j]
     return _program_columns(xb, adj, spins, sorted(flips), "program")
@@ -323,6 +330,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         pattern_ok = _columns_hold_pattern(xb, adj, spins, slice(None))
         traces: list[IterationTrace] = []
         prior_delta: Optional[np.ndarray] = None
+        prior_sigma: Optional[float] = None  # np.std(prior_delta), once taken
         found_here = False
 
         for t in range(solver_config.max_iters):
@@ -331,7 +339,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             if t == 0 or flips:  # otherwise the array is unchanged: keep the last delta
                 delta = compute_delta(xb, spins, degrees, params)
                 delta_tuple = tuple(delta.tolist())
-            q = q_unit(delta, prior_delta, t, solver_config, srng)
+            q = q_unit(delta, prior_delta, t, solver_config, srng, prior_sigma)
             flips = select_flips(delta, q, solver_config, graph)
             targeted, correct = apply_flips(xb, spins, flips, adj)
             if flips:
@@ -350,7 +358,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
                     inference_energy_nj=xb.ledger.inference_energy_nj - infer_before,
                 )
             )
-            prior_delta = delta
 
             if t == 0 or flips:  # otherwise the spins are unchanged: keep the last decode
                 assignment = decode_solution(graph, spins, cnf)
@@ -360,6 +367,13 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
                 found_here = True
             if not profile and (assignment is not None or not flips):
                 break
+            # Without a flip delta stays, and the next iteration, which cannot
+            # be greedy then, takes its threshold from delta's spread.
+            if flips:
+                prior_sigma = None
+            elif delta is not prior_delta:
+                prior_sigma = float(np.std(delta))
+            prior_delta = delta
 
         all_traces.append(traces)
         totals["init_energy_nj"] += xb.ledger.init_energy_nj

@@ -48,11 +48,19 @@ def _matches(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _finite(value) -> bool:
-    """Are all numbers in a decoded JSON value finite (no NaN or Infinity)?"""
-    if isinstance(value, (list, tuple)):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
+def _finite(value, default) -> bool:
+    """Is every number where ``default`` holds floats a finite float?
+
+    NaN, Infinity and an integer too large for a float all fail.
+    """
+    if isinstance(default, tuple):
+        return all(_finite(v, default[0]) for v in value)
+    if not isinstance(default, float):
+        return True
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def from_mapping(cls, data, error: type[ValueError]):
@@ -60,8 +68,8 @@ def from_mapping(cls, data, error: type[ValueError]):
 
     Keys must be field names and values must have the kind of the field's
     default (an int where an int is expected, a number for a float, a list of
-    the default's items for a tuple) and hold only finite numbers; anything
-    else raises ``error``.
+    the default's items for a tuple), and a number in place of a float must be
+    a finite float; anything else raises ``error``.
     """
     if not isinstance(data, dict):
         raise error(f"{cls.__name__} section must be a JSON object, got {type(data).__name__}")
@@ -72,7 +80,7 @@ def from_mapping(cls, data, error: type[ValueError]):
     for key, value in data.items():
         if not _matches(value, defaults[key]):
             raise error(f"{cls.__name__}.{key} has the wrong type: {value!r}")
-        if not _finite(value):
+        if not _finite(value, defaults[key]):
             raise error(f"{cls.__name__}.{key} must be finite: {value!r}")
     return cls(**data)
 

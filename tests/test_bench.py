@@ -221,12 +221,14 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ({"device": {"energy_curve": [[0, 0], [math.nan, 1], [100, 5]]}}, "DeviceConfig.energy_curve"),
         ({"solver": {"t0": math.nan}}, "SolverConfig.t0"),
         ({"solver": {"t0": -1.0}}, "t0"),
+        ({"device": {"v_read": 10**400}}, "DeviceConfig.v_read"),
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",
         "string-k", "unknown-solver-key", "bad-penalties", "list-document",
         "one-number-curve-point", "three-number-curve-point",
         "nan-v-read", "inf-miss-spread", "nan-curve-point", "nan-t0", "negative-t0",
+        "huge-int-v-read",
     ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc, named):

@@ -141,6 +141,82 @@ def test_program_pair_validation():
         xb.program_cell(0, 0, CellState.STATE1, "flip")
 
 
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_program_batch_equals_cell_by_cell_writes():
+    cfg = DeviceConfig()  # default noisy device: failed writes, energy noise
+    rng = np.random.default_rng(4)
+    batch, single = new_crossbar(cfg, seed=7), new_crossbar(cfg, seed=7)
+    for xb in (batch, single):  # some cells already high, one in the dead zone
+        for col in range(0, cfg.cols, 3):
+            xb.program_cell(col % cfg.rows, col, CellState.STATE1, "init")
+        xb.inject_fault(5, 5, 45.0)
+    for kind in ("init", "program"):
+        order = rng.permutation(cfg.rows * cfg.cols)
+        targets = rng.integers(0, 2, size=order.size)
+        cells = [
+            (int(k) // cfg.cols, int(k) % cfg.cols, CellState(int(v)))
+            for k, v in zip(order, targets)
+        ]
+        held = sum(batch.state[row, col] == target for row, col, target in cells)
+        assert 0 < held < len(cells)
+        counts = batch.program(cells, kind)
+        outcomes = [single.program_cell(row, col, target, kind) for row, col, target in cells]
+        assert counts == (len(cells), sum(out.landed_in_window for out in outcomes))
+        assert counts[1] < counts[0]  # some writes missed their window
+        assert np.array_equal(batch.conductance, single.conductance)
+        assert np.array_equal(batch.state, single.state)
+        assert batch.ledger._totals == single.ledger._totals
+        assert batch.rng.bit_generator.state == single.rng.bit_generator.state
+    assert batch.program([], "init") == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "cell, kind",
+    [
+        ((0, 0, CellState.STATE0), "flip"),
+        ((99, 0, CellState.STATE0), "program"),
+        ((0, 16, CellState.STATE1), "program"),
+        ((-1, 0, CellState.STATE0), "program"),
+        ((0, 0, CellState.INDETERMINATE), "program"),
+        ((5, 5, CellState.INDETERMINATE), "init"),  # a cell that holds INDETERMINATE
+        ((0, 0, 7), "program"),
+    ],
+)
+def test_program_batch_raises_what_program_cell_raises(cell, kind):
+    xb = new_crossbar(DeviceConfig(), seed=1)
+    xb.inject_fault(5, 5, 45.0)
+    expected = _raised(lambda: xb.program_cell(*cell, kind))
+    assert _raised(lambda: xb.program([(1, 1, CellState.STATE0), cell], kind)) == expected
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        None,  # the default curve
+        ((0.0, 0.0), (3.3, 0.7), (17.1, 1.9), (55.5, 2.2), (81.0, 9.1), (95.0, 13.3)),
+    ],
+)
+def test_stored_energy_matches_np_interp_bit_for_bit(curve):
+    cfg = DeviceConfig() if curve is None else DeviceConfig(energy_curve=curve)
+    gs = np.array([g for g, _ in cfg.energy_curve])
+    es = np.array([e for _, e in cfg.energy_curve])
+    xs = np.concatenate([
+        gs,
+        np.nextafter(gs, -np.inf),
+        np.nextafter(gs, np.inf),
+        [-1e300, -50.0, -0.0, 5e-324, 151.0, 1e300, np.inf, -np.inf, np.nan],
+        np.linspace(-20.0, gs[-1] + 20.0, 100_001),
+    ])
+    got = np.array([cfg.stored_energy_nj(float(x)) for x in xs])
+    want = np.interp(xs, gs, es)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_read_columns_currents_and_energy():
     cfg = DeviceConfig()
     xb = new_crossbar(cfg, seed=1)

@@ -228,27 +228,33 @@ def test_apply_flips_degree_one_node():
 def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
     # The write order fixes which device draws each cell gets.
     calls = []
-    program_pair = Crossbar.program_pair
+    program = Crossbar.program
 
-    def recording_pair(self, row, col_pos, col_neg, logical, kind="program"):
-        calls.append((row, col_pos, col_neg, logical, kind))
-        return program_pair(self, row, col_pos, col_neg, logical, kind)
+    def recording_program(self, cells, kind="program"):
+        calls.append((list(cells), kind))
+        return program(self, cells, kind)
 
-    monkeypatch.setattr(Crossbar, "program_pair", recording_pair)
+    monkeypatch.setattr(Crossbar, "program", recording_program)
     adj = adjacency_matrix(build_graph(three_x))
     spins = np.array([1, -1, -1, 1, 1, -1])
     xb = new_crossbar(exact_device(rows=6, cols=12), seed=0)
+
+    def pair_cells(j, i):
+        return [(i, 2 * j + 1, spins[j] > 0), (i, 2 * j, spins[j] < 0)]
+
     map_problem(adj, spins, xb)
     cols, rows = np.nonzero(adj.T)
     assert calls == [
-        (i, 2 * j + 1, 2 * j, int(spins[j]), "init") for j, i in zip(cols.tolist(), rows.tolist())
+        ([cell for j, i in zip(cols.tolist(), rows.tolist()) for cell in pair_cells(j, i)], "init")
     ]
     calls.clear()
     apply_flips(xb, spins, [5, 2], adj)
     assert calls == [
-        (i, 2 * j + 1, 2 * j, int(spins[j]), "program")
-        for j in (2, 5)
-        for i in np.flatnonzero(adj[:, j]).tolist()
+        (
+            [cell for j in (2, 5) for i in np.flatnonzero(adj[:, j]).tolist()
+             for cell in pair_cells(j, i)],
+            "program",
+        )
     ]
 
 
