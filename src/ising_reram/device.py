@@ -5,7 +5,8 @@ tolerance windows, low state 20 uS and high state 70 uS with a +/-10 uS
 acceptance band by default.  Writes are stochastic: with probability
 ``p_cell_success`` the cell stops just inside the window edge nearest its
 starting conductance (a verify loop halts on window entry, so overshoot decays
-toward the nominal target with triangular density), otherwise the cell
+toward the nominal target with triangular density, drawn by numpy's own
+``random_triangular`` formula on one uniform), otherwise the cell
 scatters normally around the nominal target and may land anywhere, including
 the wrong window or the dead zone between windows.
 
@@ -38,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,30 +157,39 @@ class DeviceConfig:
         return slopes[j] * (conductance - gs[j]) + es[j]
 
     @cached_property
-    def _targets(self) -> dict[int, tuple[float, float, float]]:
-        """(window low, window high, nominal) per writable state, as plain floats."""
-        return {
-            int(state): (float(g - self.tolerance), float(g + self.tolerance), float(g))
-            for state, g in ((CellState.STATE0, self.g_state0), (CellState.STATE1, self.g_state1))
-        }
+    def _targets(self) -> dict[int, tuple[float, float, float, float, float]]:
+        """(window low, window high, nominal, p_lo, p_hi) per writable state, as plain floats.
+
+        p_lo and p_hi are the products numpy's triangular sampler forms for
+        (low, low, nominal) and (nominal, high, high): (nominal - low)**2 and
+        (high - nominal)**2, each as one multiplication.
+        """
+        targets = {}
+        for state, g in ((CellState.STATE0, self.g_state0), (CellState.STATE1, self.g_state1)):
+            lo, hi, nominal = float(g - self.tolerance), float(g + self.tolerance), float(g)
+            targets[int(state)] = (
+                lo, hi, nominal, (nominal - lo) * (nominal - lo), (hi - nominal) * (hi - nominal)
+            )
+        return targets
 
     @cached_property
     def _window_bounds(self) -> tuple[float, float, float, float]:
         """(low, high) of the STATE0 window, then of the STATE1 window."""
-        (lo0, hi0, _), (lo1, hi1, _) = self._targets[_STATE0], self._targets[_STATE1]
+        (lo0, hi0, *_), (lo1, hi1, *_) = self._targets[_STATE0], self._targets[_STATE1]
         return lo0, hi0, lo1, hi1
 
-    def _sense(self, conductance: float) -> int:
-        """Window classification of one conductance as a plain CellState int."""
-        lo0, hi0, lo1, hi1 = self._window_bounds
-        if lo0 <= conductance <= hi0:
-            return _STATE0
-        if lo1 <= conductance <= hi1:
-            return _STATE1
-        return _INDETERMINATE
+    @cached_property
+    def _clip(self) -> tuple[float, float]:
+        """Lowest and highest conductance on the energy curve."""
+        return self.energy_curve[0][0], self.energy_curve[-1][0]
 
     def classify_value(self, conductance: float) -> CellState:
-        return CellState(self._sense(conductance))
+        lo0, hi0, lo1, hi1 = self._window_bounds
+        if lo0 <= conductance <= hi0:
+            return CellState.STATE0
+        if lo1 <= conductance <= hi1:
+            return CellState.STATE1
+        return CellState.INDETERMINATE
 
     def to_dict(self) -> dict:
         return field_dict(self)
@@ -189,8 +199,7 @@ class DeviceConfig:
         return from_mapping(cls, data, DeviceConfigError)
 
 
-@dataclass(frozen=True)
-class WriteOutcome:
+class WriteOutcome(NamedTuple):
     final_g: float
     landed_in_window: bool
     energy_nj: float
@@ -203,9 +212,12 @@ class EnergyLedger:
         self._totals = {"init": 0.0, "program": 0.0, "inference": 0.0, "injected": 0.0}
 
     def record(self, kind: str, energy_nj: float) -> None:
-        if energy_nj < 0:
-            raise ValueError("ledger entries must be non-negative")
-        self._totals[kind] += energy_nj
+        if not energy_nj >= 0:  # also rejects NaN
+            raise ValueError(f"ledger entries must be non-negative, got {energy_nj!r}")
+        try:
+            self._totals[kind] += energy_nj
+        except KeyError:
+            raise ValueError(f"unknown ledger kind {kind!r}") from None
 
     @property
     def init_energy_nj(self) -> float:
@@ -247,13 +259,6 @@ class Crossbar:
         """Window classification of every cell as an int array of CellState."""
         return self.state.copy()
 
-    def _energy_noise(self) -> float:
-        sigma = self.config.energy_noise_sigma
-        if sigma == 0:
-            return 1.0
-        # Mean-one lognormal so that configured noise leaves averages in place.
-        return float(self.rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
-
     def program_cell(
         self, row: int, col: int, target: CellState, kind: str = "program"
     ) -> WriteOutcome:
@@ -264,34 +269,56 @@ class Crossbar:
         window edge nearest the starting conductance (between that edge and
         the nominal target); failed writes scatter around the nominal.  The
         energy goes to the ledger total ``kind``, "init" or "program".
+
+        A shortcut landing is numpy's ``random_triangular`` formula applied to
+        one ``rng.random()``, the same single uniform and the same arithmetic
+        as ``rng.triangular(lo, lo, nominal)`` or ``rng.triangular(nominal,
+        hi, hi)`` without its per-call argument conversion.
         """
-        self._check_coords(row, col)
-        _check_kind(kind)
         cfg = self.config
+        # Plain comparisons on the hot path; the checkers raise on failure.
+        if not (0 <= row < cfg.rows and 0 <= col < cfg.cols):
+            self._check_coords(row, col)
+        if kind != "program" and kind != "init":
+            _check_kind(kind)
         window = cfg._targets.get(target)
         if window is None:
             CellState(target)  # raises for anything that is not a state
             raise ValueError("cannot target the indeterminate state")
-        lo, hi, nominal = window
+        lo, hi, nominal, p_lo, p_hi = window
         start = self.conductance.item(row, col)
         if self.state.item(row, col) == target:
             return WriteOutcome(start, True, 0.0)
-        if self.rng.random() < cfg.p_cell_success:
+        rng = self.rng
+        if rng.random() < cfg.p_cell_success:
             if not cfg.shortcut_writes:
                 final = nominal
             elif start < lo:
-                final = float(self.rng.triangular(lo, lo, nominal))
+                # triangular(lo, lo, nominal): its ratio is 0, so only u == 0 lands on lo.
+                u = rng.random()
+                final = nominal - math.sqrt((1.0 - u) * p_lo) if u > 0.0 else lo
             else:
-                final = float(self.rng.triangular(nominal, hi, hi))
+                # triangular(nominal, hi, hi): its ratio is exactly 1.
+                final = nominal + math.sqrt(rng.random() * p_hi)
         else:
-            final = float(self.rng.normal(nominal, cfg.miss_spread))
-        curve = cfg.energy_curve
-        final = min(max(final, curve[0][0]), curve[-1][0])
-        swing = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
-        energy = swing * self._energy_noise()
+            final = float(rng.normal(nominal, cfg.miss_spread))
+        g_min, g_max = cfg._clip
+        final = min(max(final, g_min), g_max)
+        energy = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
+        sigma = cfg.energy_noise_sigma
+        if sigma != 0:
+            # Mean-one lognormal so that configured noise leaves averages in place.
+            energy *= float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
-        self.state[row, col] = cfg._sense(final)
+        lo0, hi0, lo1, hi1 = cfg._window_bounds
+        if lo0 <= final <= hi0:
+            sensed = _STATE0
+        elif lo1 <= final <= hi1:
+            sensed = _STATE1
+        else:
+            sensed = _INDETERMINATE
+        self.state[row, col] = sensed
         return WriteOutcome(final, lo <= final <= hi, energy)
 
     def program(
@@ -371,8 +398,11 @@ class Crossbar:
     def inject_fault(self, row: int, col: int, conductance: float) -> None:
         """Force a cell's conductance directly; logged but free of energy."""
         self._check_coords(row, col)
-        self.conductance[row, col] = float(conductance)
-        self.state[row, col] = self.config._sense(float(conductance))
+        g = float(conductance)
+        if not math.isfinite(g):
+            raise ValueError(f"fault conductance must be finite, got {g!r}")
+        self.conductance[row, col] = g
+        self.state[row, col] = self.config.classify_value(g)
         self.ledger.record("injected", 0.0)
 
     def snapshot_csv(self) -> str:

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from ising_reram.bench import (
     suite_report_csv,
 )
 from ising_reram.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_suite_matches_hardcoded_clause_lists():
@@ -273,8 +277,13 @@ def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # A subprocess does not inherit pytest's pythonpath, so the uninstalled
+    # package is put on its path explicitly.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "ising_reram.cli", "gen", "--vars", "4", "--clauses", "1", "--seed", "0"],
+        cwd=ROOT,
+        env=env,
         capture_output=True,
         text=True,
     )

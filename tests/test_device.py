@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from ising_reram import (
     CellState,
     DeviceConfig,
     DeviceConfigError,
+    EnergyLedger,
+    WriteOutcome,
     new_crossbar,
 )
 from conftest import exact_device
@@ -297,6 +300,103 @@ def test_inject_fault_and_classify():
     assert xb.ledger.total_nj() == 0.0
     with pytest.raises(IndexError):
         xb.inject_fault(99, 0, 20.0)
+
+
+@pytest.mark.parametrize("g", [float("nan"), float("inf"), -float("inf")])
+def test_inject_fault_rejects_non_finite_conductance(g):
+    xb = new_crossbar(DeviceConfig(), seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        xb.inject_fault(0, 0, g)
+    assert xb.conductance[0, 0] == 20.0
+    assert xb.state[0, 0] == CellState.STATE0
+    xb.program_cell(0, 0, CellState.STATE1)
+    assert math.isfinite(xb.ledger.total_nj())
+
+
+def test_ledger_rejects_nan_and_unknown_kinds():
+    ledger = EnergyLedger()
+    ledger.record("program", 1.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        ledger.record("program", float("nan"))
+    with pytest.raises(ValueError, match="non-negative"):
+        ledger.record("init", -1.0)
+    with pytest.raises(ValueError, match="unknown ledger kind"):
+        ledger.record("erase", 1.0)
+    assert ledger.program_energy_nj == 1.5
+    assert ledger.total_nj() == 1.5
+
+
+def _reference_program_cell(xb, row, col, target, kind):
+    """A write made with numpy's own triangular, normal and lognormal calls.
+
+    This is the write model as first written, kept as the oracle for the
+    per-pulse kernel in ``Crossbar.program_cell``: it must make the same
+    draws from the same generator and give the same bits.
+    """
+    cfg = xb.config
+    g = cfg.g_state1 if target == CellState.STATE1 else cfg.g_state0
+    lo, hi, nominal = float(g - cfg.tolerance), float(g + cfg.tolerance), float(g)
+    start = xb.conductance.item(row, col)
+    if xb.state.item(row, col) == target:
+        return WriteOutcome(start, True, 0.0)
+    if xb.rng.random() < cfg.p_cell_success:
+        if not cfg.shortcut_writes:
+            final = nominal
+        elif start < lo:
+            final = float(xb.rng.triangular(lo, lo, nominal))
+        else:
+            final = float(xb.rng.triangular(nominal, hi, hi))
+    else:
+        final = float(xb.rng.normal(nominal, cfg.miss_spread))
+    curve = cfg.energy_curve
+    final = min(max(final, curve[0][0]), curve[-1][0])
+    swing = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
+    sigma = cfg.energy_noise_sigma
+    noise = 1.0 if sigma == 0 else float(xb.rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+    energy = swing * noise
+    xb.ledger.record(kind, energy)
+    xb.conductance[row, col] = final
+    xb.state[row, col] = cfg.classify_value(final)
+    return WriteOutcome(final, lo <= final <= hi, energy)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"p_cell_success": 0.5},
+        {"shortcut_writes": False},
+        {"energy_noise_sigma": 0.0},
+        {"g_state0": 15, "g_state1": 80, "tolerance": 7.5},
+    ],
+    ids=["default", "p0.5", "no-shortcut", "no-noise", "window-15-80"],
+)
+def test_program_cell_equals_numpy_distribution_calls_bit_for_bit(overrides):
+    cfg = DeviceConfig(rows=6, cols=6, **overrides)
+    xb, ref = new_crossbar(cfg, seed=11), new_crossbar(cfg, seed=11)
+    lo0, hi0 = cfg.g_state0 - cfg.tolerance, cfg.g_state0 + cfg.tolerance
+    lo1, hi1 = cfg.g_state1 - cfg.tolerance, cfg.g_state1 + cfg.tolerance
+    # Below, on the edges of, inside and above each window, and in the dead zone.
+    starts = (0.0, lo0 - 3.0, lo0, cfg.g_state0 + 1.5, hi0, (hi0 + lo1) / 2,
+              lo1 - 0.5, lo1, cfg.g_state1 - 2.0, hi1, hi1 + 4.0, 140.0, 160.0)
+    picks = np.random.default_rng(3)
+    writes = 6_000
+    for i in range(writes):
+        row, col = int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols))
+        if picks.random() < 0.7:
+            start = starts[int(picks.integers(len(starts)))]
+            xb.inject_fault(row, col, start)
+            ref.inject_fault(row, col, start)
+        target = (CellState.STATE0, CellState.STATE1)[int(picks.integers(2))]
+        kind = "init" if i % 3 == 0 else "program"
+        got = xb.program_cell(row, col, target, kind)
+        assert got == _reference_program_cell(ref, row, col, target, kind), i
+    assert np.array_equal(xb.conductance, ref.conductance)
+    assert np.array_equal(xb.state, ref.state)
+    for total in ("init_energy_nj", "program_energy_nj", "inference_energy_nj"):
+        assert getattr(xb.ledger, total) == getattr(ref.ledger, total)
+    assert xb.ledger.total_nj() == ref.ledger.total_nj()
+    assert xb.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def test_ledger_completeness_and_determinism():
