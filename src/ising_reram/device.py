@@ -178,18 +178,17 @@ class DeviceConfig:
         (lo0, hi0, *_), (lo1, hi1, *_) = self._targets[_STATE0], self._targets[_STATE1]
         return lo0, hi0, lo1, hi1
 
-    @cached_property
-    def _clip(self) -> tuple[float, float]:
-        """Lowest and highest conductance on the energy curve."""
-        return self.energy_curve[0][0], self.energy_curve[-1][0]
-
-    def classify_value(self, conductance: float) -> CellState:
+    def _window_of(self, conductance: float) -> int:
+        """The window a conductance falls in, as the plain int of its CellState."""
         lo0, hi0, lo1, hi1 = self._window_bounds
         if lo0 <= conductance <= hi0:
-            return CellState.STATE0
+            return _STATE0
         if lo1 <= conductance <= hi1:
-            return CellState.STATE1
-        return CellState.INDETERMINATE
+            return _STATE1
+        return _INDETERMINATE
+
+    def classify_value(self, conductance: float) -> CellState:
+        return CellState(self._window_of(conductance))
 
     def to_dict(self) -> dict:
         return field_dict(self)
@@ -302,8 +301,8 @@ class Crossbar:
                 final = nominal + math.sqrt(rng.random() * p_hi)
         else:
             final = float(rng.normal(nominal, cfg.miss_spread))
-        g_min, g_max = cfg._clip
-        final = min(max(final, g_min), g_max)
+        gs = cfg._curve_segments[0]
+        final = min(max(final, gs[0]), gs[-1])
         energy = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
         sigma = cfg.energy_noise_sigma
         if sigma != 0:
@@ -311,14 +310,7 @@ class Crossbar:
             energy *= float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
-        lo0, hi0, lo1, hi1 = cfg._window_bounds
-        if lo0 <= final <= hi0:
-            sensed = _STATE0
-        elif lo1 <= final <= hi1:
-            sensed = _STATE1
-        else:
-            sensed = _INDETERMINATE
-        self.state[row, col] = sensed
+        self.state[row, col] = cfg._window_of(final)
         return WriteOutcome(final, lo <= final <= hi, energy)
 
     def program(

@@ -7,19 +7,22 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OPS_PER_RUN = {"paper-suite": 10, "anneal-m40": 16, "program-m200": 16}
 
 
-def test_byte_identity_maps_every_paper_suite_op():
+def test_byte_identity_maps_every_op_of_every_workload_and_seed():
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "byte_identity.py"),
-         "--workloads", "paper-suite", "--seeds", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(ROOT / "tools" / "byte_identity.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     table = json.loads(done.stdout)
-    ops = table["paper-suite"]["1"]
-    assert list(table) == ["paper-suite"] and sorted(ops, key=int) == [str(i) for i in range(10)]
-    for entry in ops.values():
-        assert len(entry["sha256"]) == 64 and int(entry["sha256"], 16) >= 0
-        assert math.isfinite(float(entry["exec_nj"])) and float(entry["infer_nj"]) > 0
-    assert len({entry["sha256"] for entry in ops.values()}) == 10
+    assert sorted(table) == sorted(OPS_PER_RUN)
+    for name, n_ops in OPS_PER_RUN.items():
+        assert sorted(table[name]) == ["1", "7"]
+        for ops in table[name].values():
+            assert sorted(ops, key=int) == [str(i) for i in range(n_ops)]
+            for entry in ops.values():
+                assert len(entry["sha256"]) == 64 and int(entry["sha256"], 16) >= 0
+                assert math.isfinite(float(entry["exec_nj"])) and float(entry["infer_nj"]) > 0
+            assert len({entry["sha256"] for entry in ops.values()}) == n_ops
