@@ -24,7 +24,6 @@ from .ising import (
     decode_solution,
     delta_oracle,
     exhaustive_ground_state,
-    graph_from_edges,
     hamiltonian_energy,
     kernel_decompose,
 )

@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .util import field_dict, from_mapping, substream
+from .util import check_finite, field_dict, from_mapping, is_finite, substream
 
 # Anchors (uS, nJ); steep tails between the nominal points and the window
 # boundaries carry the worst-case swing, the shallow mid-section keeps
@@ -98,6 +98,7 @@ class DeviceConfig:
     shortcut_writes: bool = True    # False lands successful writes at nominal
 
     def __post_init__(self) -> None:
+        check_finite(self, DeviceConfigError)
         if self.rows < 1 or self.cols < 1:
             raise DeviceConfigError(f"bad array dims {self.rows}x{self.cols}")
         if min(self.g_state0, self.g_state1, self.tolerance, self.miss_spread,
@@ -115,11 +116,14 @@ class DeviceConfig:
         for point in self.energy_curve:
             try:
                 g, e = point
-                curve.append((float(g), float(e)))
+                finite = is_finite(g) and is_finite(e)
             except (TypeError, ValueError):
                 raise DeviceConfigError(
                     f"energy_curve point {point!r} is not a pair of numbers"
                 ) from None
+            if not finite:
+                raise DeviceConfigError(f"DeviceConfig.energy_curve point {point!r} must be finite")
+            curve.append((float(g), float(e)))
         if len(curve) < 2:
             raise DeviceConfigError("energy_curve needs at least two points")
         gs = [g for g, _ in curve]

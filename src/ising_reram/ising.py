@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,6 +68,23 @@ class IsingGraph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(nb)) for nb in adj)
+
+    @cached_property
+    def node_clauses(self) -> np.ndarray:
+        """Clause index of each node, read-only like the graph."""
+        clauses = np.array([node.clause_index for node in self.nodes], dtype=np.int64)
+        clauses.flags.writeable = False
+        return clauses
+
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (u, v) of every edge, in the edge set's order, as two
+        read-only index arrays."""
+        flat = np.fromiter(
+            chain.from_iterable(self.edges), dtype=np.int64, count=2 * self.num_edges
+        )
+        flat.flags.writeable = False
+        return flat[0::2], flat[1::2]
 
     def degree(self, node: int) -> int:
         return len(self.neighbor_lists[node])
@@ -117,24 +135,12 @@ def build_graph(cnf: Cnf) -> IsingGraph:
     return IsingGraph(tuple(nodes), frozenset(edges))
 
 
-def graph_from_edges(num_nodes: int, edges: Sequence[tuple[int, int]]) -> IsingGraph:
-    """Ad-hoc graph with synthetic literals, for direct energy experiments.
-
-    Not a Cnf reduction; kernel decomposition and decoding are undefined on it.
-    """
-    nodes = tuple(
-        IsingNode(i, i // 3, i % 3, Literal(i + 1)) for i in range(num_nodes)
-    )
-    normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    return IsingGraph(nodes, normalized)
-
-
 def adjacency_matrix(graph: IsingGraph) -> np.ndarray:
     """Symmetric 0/1 matrix with zero diagonal in clause-major node order."""
     n = graph.num_nodes
     adj = np.zeros((n, n), dtype=np.int8)
-    for u, v in graph.edges:
-        adj[u, v] = adj[v, u] = 1
+    u, v = graph.edge_ends
+    adj[u, v] = adj[v, u] = 1
     return adj
 
 
@@ -212,8 +218,7 @@ def exhaustive_ground_state(
         raise ValueError(
             f"exhaustive search is limited to {MAX_EXHAUSTIVE_NODES} nodes, got {n}"
         )
-    edge_u = np.array([u for u, _ in sorted(graph.edges)], dtype=np.int64)
-    edge_v = np.array([v for _, v in sorted(graph.edges)], dtype=np.int64)
+    edge_u, edge_v = graph.edge_ends
     shifts = np.arange(n, dtype=np.int64)
     best_energy = np.inf
     best_code = 0
@@ -245,19 +250,15 @@ def decode_solution(
     variables default to false.  The result is returned only if it passes
     verification, so a false SAT can never escape this function.
     """
-    s = _check_spins(graph, spins)
-    selected = np.flatnonzero(s == 1).tolist()
-    per_clause = [0] * cnf.num_clauses
-    for i in selected:
-        per_clause[graph.nodes[i].clause_index] += 1
-    if any(count != 1 for count in per_clause):
+    up = _check_spins(graph, spins) == 1
+    per_clause = np.bincount(graph.node_clauses[up], minlength=cnf.num_clauses)
+    if (per_clause != 1).any():
         return None
-    selected_set = set(selected)
-    for u, v in graph.edges:
-        if u in selected_set and v in selected_set:
-            return None
+    u, v = graph.edge_ends
+    if (up[u] & up[v]).any():
+        return None
     values = [False] * cnf.num_vars
-    for i in selected:
+    for i in np.flatnonzero(up).tolist():
         lit = graph.nodes[i].literal
         values[lit.variable - 1] = not lit.negated
     assignment = Assignment(tuple(values))

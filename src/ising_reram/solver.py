@@ -37,7 +37,7 @@ from .ising import (
     build_graph,
     decode_solution,
 )
-from .util import derive_seed, field_dict, from_mapping, substream
+from .util import check_finite, derive_seed, field_dict, from_mapping, substream
 
 
 class MappingError(ValueError):
@@ -58,6 +58,7 @@ class SolverConfig:
     profile_iterations: bool = False  # run every iteration, no early exit
 
     def __post_init__(self) -> None:
+        check_finite(self, ValueError)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not self.t0 >= 0.0:
@@ -214,6 +215,7 @@ def q_unit(
     config: SolverConfig,
     rng: np.random.Generator,
     prior_sigma: Optional[float] = None,
+    low: Optional[float] = None,
 ) -> float:
     """Dynamic flip threshold.
 
@@ -221,9 +223,11 @@ def q_unit(
     Metropolis threshold q = -T_t * ln(u) with T_t scaled by the spread of the
     previous iteration's flip costs (falling back to b_pen when there is no
     usable prior).  ``prior_sigma`` is that spread, ``np.std(prior_delta)``,
-    when the caller already holds it.
+    and ``low`` is the least cost, ``min(delta)``, when the caller already
+    holds them; with ``low`` the greedy test is one comparison.
     """
-    if np.any(delta < 0):
+    improving = np.any(delta < 0) if low is None else low < 0.0
+    if improving:
         return 0.0
     if prior_sigma is not None:
         sigma = prior_sigma
@@ -233,24 +237,33 @@ def q_unit(
         sigma = config.b_pen
     temperature = config.t0 * (config.alpha ** t) * sigma
     u = 1.0 - rng.random()  # uniform on (0, 1]
+    # np.log, not math.log: on some hosts they differ in the last bit, and q is reported.
     return float(-temperature * np.log(u))
 
 
 def select_flips(
-    delta: np.ndarray, q: float, config: SolverConfig, graph: IsingGraph
+    delta: np.ndarray,
+    q: float,
+    config: SolverConfig,
+    graph: IsingGraph,
+    low: Optional[float] = None,
 ) -> list[int]:
     """Up to k candidates with delta below q, forming an independent set.
 
     Candidates are ordered by the control function (min: ascending delta) with
     node id as the tie-break; adjacent picks are skipped because simultaneous
-    neighbor flips would invalidate each other's predicted cost.
+    neighbor flips would invalidate each other's predicted cost.  ``low`` is
+    ``min(delta)`` when the caller already holds it: no cost is below q
+    exactly when ``low`` is not, and then the answer is [] after one
+    comparison, with no pass over ``delta``.
     """
-    costs = delta.tolist()
-    candidates = np.flatnonzero(delta < q).tolist()
-    sign = -1.0 if config.control_f == "max" else 1.0
-    candidates.sort(key=lambda i: (sign * costs[i], i))
+    if low is not None and not low < q:
+        return []
+    candidates = np.flatnonzero(delta < q)
+    keys = -delta[candidates] if config.control_f == "max" else delta[candidates]
     chosen: list[int] = []
-    for i in candidates:
+    # A stable sort of ascending node ids breaks ties by node id.
+    for i in candidates[np.argsort(keys, kind="stable")].tolist():
         if len(chosen) >= config.k:
             break
         if any(j in graph.neighbor_lists[i] for j in chosen):
@@ -282,13 +295,22 @@ def _columns_hold_pattern(
 
     Only a node's own writes and its own spin change what its pair holds and
     should hold, so after a flip only the flipped nodes need checking again.
+    For a list, each node's two state columns are compared on their own: the
+    column of its sign must hold adj[:, j] and the other one all STATE0.
     """
     n = adj.shape[0]
-    pos = xb.state[:n, 1 : 2 * n : 2]
-    neg = xb.state[:n, 0 : 2 * n : 2]
-    weights = adj[:, nodes] * spins[nodes].astype(np.int8)  # int8: entries are -1, 0 or 1
     # STATE1 is 1 and STATE0 is 0, so a boolean "holds a high cell" compares as the state.
-    return ((pos[:, nodes] == (weights > 0)) & (neg[:, nodes] == (weights < 0))).all(axis=0)
+    if isinstance(nodes, slice):
+        pos = xb.state[:n, 1 : 2 * n : 2]
+        neg = xb.state[:n, 0 : 2 * n : 2]
+        weights = adj[:, nodes] * spins[nodes].astype(np.int8)  # int8: entries are -1, 0 or 1
+        return ((pos[:, nodes] == (weights > 0)) & (neg[:, nodes] == (weights < 0))).all(axis=0)
+    state = xb.state[:n]
+    held = []
+    for j in nodes:
+        high, empty = (2 * j + 1, 2 * j) if spins[j] > 0 else (2 * j, 2 * j + 1)
+        held.append(bool((state[:, high] == adj[:, j]).all()) and not state[:, empty].any())
+    return np.array(held, dtype=bool)
 
 
 def _mapped_pattern_ok(xb: Crossbar, adj: np.ndarray, spins: np.ndarray) -> bool:
@@ -304,11 +326,15 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     is reproducible.  The array is read, and the spin state decoded, at the
     start of a restart and after every change; an iteration that follows one
     with no flip keeps the last delta (the model has no read noise) and
-    records an inference energy of 0.  A verified assignment ends the run
-    with verdict SAT (unless ``profile_iterations`` is set, in which case
-    every restart runs its full iteration budget and the first verified
-    decode is reported at the end; only such runs have iterations after one
-    with no flip).
+    records an inference energy of 0.  The least cost is taken once per read
+    and handed to q_unit's greedy test and select_flips' candidate test, so an
+    iteration that flips nothing costs the q draw (one uniform) and one
+    comparison, with no pass over delta.  Only the flipped
+    columns are verified again, and the all-columns verdict is refreshed only
+    after a flip.  A verified assignment ends the run with verdict SAT (unless
+    ``profile_iterations`` is set, in which case every restart runs its full
+    iteration budget and the first verified decode is reported at the end;
+    only such runs have iterations after one with no flip).
     """
     graph = build_graph(cnf)
     adj = adjacency_matrix(graph)
@@ -328,6 +354,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         xb = new_crossbar(device_config, derive_seed(solver_config.seed, restart, 1))
         map_problem(adj, spins, xb)
         pattern_ok = _columns_hold_pattern(xb, adj, spins, slice(None))
+        pattern_all = bool(pattern_ok.all())
         traces: list[IterationTrace] = []
         prior_delta: Optional[np.ndarray] = None
         prior_sigma: Optional[float] = None  # np.std(prior_delta), once taken
@@ -338,13 +365,16 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             infer_before = xb.ledger.inference_energy_nj
             if t == 0 or flips:  # otherwise the array is unchanged: keep the last delta
                 delta = compute_delta(xb, spins, degrees, params)
-                delta_tuple = tuple(delta.tolist())
-            q = q_unit(delta, prior_delta, t, solver_config, srng, prior_sigma)
-            flips = select_flips(delta, q, solver_config, graph)
+                costs = delta.tolist()
+                delta_tuple = tuple(costs)
+                low = min(costs)
+            q = q_unit(delta, prior_delta, t, solver_config, srng, prior_sigma, low)
+            flips = select_flips(delta, q, solver_config, graph, low)
             targeted, correct = apply_flips(xb, spins, flips, adj)
             if flips:
                 pattern_ok[flips] = _columns_hold_pattern(xb, adj, spins, flips)
-            ok = (correct == targeted) and bool(pattern_ok.all())
+                pattern_all = bool(pattern_ok.all())
+            ok = (correct == targeted) and pattern_all
             traces.append(
                 IterationTrace(
                     t=t,

@@ -48,19 +48,22 @@ def _matches(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _finite(value, default) -> bool:
-    """Is every number where ``default`` holds floats a finite float?
-
-    NaN, Infinity and an integer too large for a float all fail.
-    """
-    if isinstance(default, tuple):
-        return all(_finite(v, default[0]) for v in value)
-    if not isinstance(default, float):
-        return True
+def is_finite(value) -> bool:
+    """Is ``value`` a finite number?  An integer too large for a float is not."""
     try:
         return math.isfinite(value)
     except OverflowError:  # an int beyond float range
         return False
+
+
+def check_finite(obj, error: type[ValueError]) -> None:
+    """Raise ``error``, naming the field, unless every float field of dataclass
+    ``obj`` holds a finite number (NaN, an infinity and an int beyond float
+    range fail)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(f.default, float) and not is_finite(value):
+            raise error(f"{type(obj).__name__}.{f.name} must be finite: {value!r}")
 
 
 def from_mapping(cls, data, error: type[ValueError]):
@@ -68,8 +71,8 @@ def from_mapping(cls, data, error: type[ValueError]):
 
     Keys must be field names and values must have the kind of the field's
     default (an int where an int is expected, a number for a float, a list of
-    the default's items for a tuple), and a number in place of a float must be
-    a finite float; anything else raises ``error``.
+    the default's items for a tuple); anything else raises ``error``.  The
+    class's own checks run on construction and reject non-finite numbers.
     """
     if not isinstance(data, dict):
         raise error(f"{cls.__name__} section must be a JSON object, got {type(data).__name__}")
@@ -80,7 +83,5 @@ def from_mapping(cls, data, error: type[ValueError]):
     for key, value in data.items():
         if not _matches(value, defaults[key]):
             raise error(f"{cls.__name__}.{key} has the wrong type: {value!r}")
-        if not _finite(value, defaults[key]):
-            raise error(f"{cls.__name__}.{key} must be finite: {value!r}")
     return cls(**data)
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ising_reram import Clause, Cnf, ideal_config
+from ising_reram import Clause, Cnf, IsingGraph, IsingNode, Literal, ideal_config
 
 
 @pytest.fixture
@@ -29,3 +29,15 @@ def unsat_eight_clause() -> Cnf:
 def exact_device(rows: int = 32, cols: int = 16, **overrides):
     """Noise-free device sized for exact-arithmetic assertions."""
     return ideal_config(rows=rows, cols=cols, **overrides)
+
+
+def graph_from_edges(num_nodes: int, edges) -> IsingGraph:
+    """Ad-hoc graph with synthetic literals, for direct energy experiments.
+
+    Not a Cnf reduction; kernel decomposition and decoding are undefined on it.
+    """
+    nodes = tuple(
+        IsingNode(i, i // 3, i % 3, Literal(i + 1)) for i in range(num_nodes)
+    )
+    normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
+    return IsingGraph(nodes, normalized)

@@ -226,13 +226,15 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ({"solver": {"t0": math.nan}}, "SolverConfig.t0"),
         ({"solver": {"t0": -1.0}}, "t0"),
         ({"device": {"v_read": 10**400}}, "DeviceConfig.v_read"),
+        ({"solver": {"a_pen": math.inf}}, "SolverConfig.a_pen"),
+        ({"device": {"energy_curve": [[0, 0], [50, 10**400], [100, 5]]}}, "DeviceConfig.energy_curve"),
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",
         "string-k", "unknown-solver-key", "bad-penalties", "list-document",
         "one-number-curve-point", "three-number-curve-point",
         "nan-v-read", "inf-miss-spread", "nan-curve-point", "nan-t0", "negative-t0",
-        "huge-int-v-read",
+        "huge-int-v-read", "inf-a-pen", "huge-int-curve-point",
     ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc, named):

@@ -27,6 +27,26 @@ def test_overlapping_windows_rejected():
         DeviceConfig(tolerance=30.0)  # 20+30 > 70-30
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf, 10**400)  # 10**400 is beyond float range
+
+
+def test_config_rejects_non_finite_fields():
+    fields = ("g_state0", "g_state1", "tolerance", "p_cell_success", "miss_spread",
+              "energy_noise_sigma", "v_read", "t_read")
+    for field in fields:
+        for value in NON_FINITE:
+            with pytest.raises(DeviceConfigError, match=rf"^DeviceConfig\.{field} must be finite"):
+                DeviceConfig(**{field: value})
+
+
+def test_config_rejects_non_finite_curve_points():
+    for value in NON_FINITE:
+        for point in ((value, 5.0), (50.0, value)):
+            curve = ((0.0, 0.0), point, (100.0, 11.0))
+            with pytest.raises(DeviceConfigError, match=r"^DeviceConfig\.energy_curve point .* must be finite"):
+                DeviceConfig(energy_curve=curve)
+
+
 def test_bad_dims_rejected():
     with pytest.raises(DeviceConfigError):
         DeviceConfig(rows=0)

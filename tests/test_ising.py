@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ising_reram import (
+    Assignment,
     CnfError,
     HamiltonianParams,
     adjacency_matrix,
@@ -10,12 +11,13 @@ from ising_reram import (
     decode_solution,
     delta_oracle,
     exhaustive_ground_state,
-    graph_from_edges,
     hamiltonian_energy,
     kernel_decompose,
     paper_instances,
     random_3sat,
+    verify_assignment,
 )
+from conftest import graph_from_edges
 
 PARAMS = HamiltonianParams()
 
@@ -218,6 +220,55 @@ def test_decode_never_returns_failing_assignment():
         assignment = decode_solution(g, spins, cnf)
         if assignment is not None:
             assert verify_assignment(cnf, assignment)
+
+
+def _decode_by_walk(graph, spins, cnf):
+    """decode_solution's rule as a walk over nodes and edges in Python."""
+    selected = [i for i, s in enumerate(spins.tolist()) if s == 1]
+    per_clause = [0] * cnf.num_clauses
+    for i in selected:
+        per_clause[graph.nodes[i].clause_index] += 1
+    if any(count != 1 for count in per_clause):
+        return None
+    chosen = set(selected)
+    if any(u in chosen and v in chosen for u, v in graph.edges):
+        return None
+    values = [False] * cnf.num_vars
+    for i in selected:
+        lit = graph.nodes[i].literal
+        values[lit.variable - 1] = not lit.negated
+    assignment = Assignment(tuple(values))
+    return assignment if verify_assignment(cnf, assignment) else None
+
+
+def test_decode_matches_node_and_edge_walk():
+    instances = [*paper_instances().values()] + [
+        random_3sat(n, m, seed) for n, m, seed in ((5, 8, 1), (6, 12, 2), (8, 20, 3), (13, 40, 5))
+    ]
+    rng = np.random.default_rng(11)
+    kinds = {"uniform": 0, "one per clause, conflict": 0, "satisfying": 0}
+    for cnf in instances:
+        g = build_graph(cnf)
+        n, m = g.num_nodes, cnf.num_clauses
+        picks = [rng.integers(0, 3, m) + 3 * np.arange(m) for _ in range(300)]
+        model = brute_force_sat(cnf)
+        if model is not None:  # one true literal per clause: an independent pick
+            picks.append(np.array([
+                3 * c + next(p for p, lit in enumerate(clause.literals)
+                             if model.values[lit.variable - 1] != lit.negated)
+                for c, clause in enumerate(cnf.clauses)
+            ]))
+        states = [spins_with_up(n, up) for up in picks]
+        states += [2 * rng.integers(0, 2, n) - 1 for _ in range(100)]
+        for spins in states:
+            expected = _decode_by_walk(g, spins, cnf)
+            assert decode_solution(g, spins, cnf) == expected
+            one_each = sorted(g.nodes[i].clause_index for i in np.flatnonzero(spins == 1)) == [*range(m)]
+            kinds["uniform"] += not one_each
+            kinds["one per clause, conflict"] += one_each and expected is None
+            kinds["satisfying"] += expected is not None
+    assert sum(kinds.values()) >= 2000
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_params_validation():

@@ -20,7 +20,6 @@ from ising_reram import (
     compute_delta,
     decode_solution,
     delta_oracle,
-    graph_from_edges,
     hamiltonian_energy,
     load_config_document,
     map_problem,
@@ -34,9 +33,9 @@ from ising_reram import (
     verify_assignment,
 )
 import ising_reram.solver as solver_module
-from ising_reram.solver import _mapped_pattern_ok, random_spins
+from ising_reram.solver import _columns_hold_pattern, _mapped_pattern_ok, random_spins
 from ising_reram.util import derive_seed, substream
-from conftest import exact_device, unsat_eight_clause
+from conftest import exact_device, graph_from_edges, unsat_eight_clause
 
 PARAMS = HamiltonianParams()
 
@@ -515,6 +514,13 @@ def test_solver_config_json_round_trip():
     assert SolverConfig.from_dict(solver.to_dict()) == solver
 
 
+def test_solver_config_rejects_non_finite_fields():
+    for field in ("t0", "alpha", "a_pen", "b_pen"):
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(ValueError, match=rf"^SolverConfig\.{field} must be finite"):
+                SolverConfig(**{field: value})
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(k=0)
@@ -588,3 +594,69 @@ def test_sensed_grid_matches_window_classification(monkeypatch):
         assert np.array_equal(xb.classify_grid(), expected)
         assert xb.state[4, 5] == expected[4, 5]
     assert set(np.unique(crossbars[-1].classify_grid()).tolist()) == {0, 1, 2}
+
+
+def test_flipped_column_verify_matches_whole_array_pass():
+    cnf = random_3sat(5, 8, 4)
+    g = build_graph(cnf)
+    adj = adjacency_matrix(g)
+    n = g.num_nodes
+    device = DeviceConfig(rows=n, cols=2 * n)
+    rng = np.random.default_rng(5)
+    seen = set()
+    for seed in range(8):
+        spins = random_spins(n, rng)
+        xb = new_crossbar(device, seed)
+        map_problem(adj, spins, xb)
+        apply_flips(xb, spins, rng.choice(n, 3, replace=False).tolist(), adj)
+        j, k = rng.choice(n, 2, replace=False).tolist()
+        # A high cell on a zero-weight row of j's pair, in its high or its low column.
+        row = int(rng.choice(np.flatnonzero(adj[:, j] == 0)))
+        xb.inject_fault(row, 2 * j + int(rng.integers(0, 2)), device.g_state1)
+        # A dead-zone conductance on one of k's weighted rows, in either column.
+        row = int(rng.choice(np.flatnonzero(adj[:, k])))
+        xb.inject_fault(row, 2 * k + int(rng.integers(0, 2)), 45.0)
+        whole = _columns_hold_pattern(xb, adj, spins, slice(None))
+        assert not whole[j] and not whole[k]
+        subsets = ([j], [k], [k, j], sorted(rng.choice(n, 6, replace=False).tolist()), list(range(n)))
+        for nodes in subsets:
+            got = _columns_hold_pattern(xb, adj, spins, nodes)
+            assert got.dtype == bool and got.tolist() == whole[nodes].tolist()
+        seen.update(whole.tolist())
+    assert seen == {True, False}
+
+
+def _select_by_sort(delta, q, config, graph):
+    """select_flips' rule with a Python sort on (signed cost, node id)."""
+    costs = delta.tolist()
+    sign = -1.0 if config.control_f == "max" else 1.0
+    chosen = []
+    for i in sorted((i for i, c in enumerate(costs) if c < q), key=lambda i: (sign * costs[i], i)):
+        if len(chosen) < config.k and not any(j in graph.neighbor_lists[i] for j in chosen):
+            chosen.append(i)
+    return chosen
+
+
+def test_least_cost_shortcuts_match_the_full_tests():
+    g = build_graph(random_3sat(5, 8, 4))
+    rng = np.random.default_rng(9)
+    taken = 0
+    for t in range(400):
+        config = SolverConfig(k=int(rng.integers(1, 4)), control_f=("min", "max")[t % 2])
+        delta = rng.normal(0.5, 1.0, g.num_nodes).round(1)
+        if t % 3:  # no improving move, and with +2 mostly no cost below q either
+            delta = np.abs(delta) + 2.0 * (t % 3 - 1)
+        prior = rng.normal(0.0, 1.0, g.num_nodes)
+        low = min(delta.tolist())
+        a, b = np.random.default_rng(t), np.random.default_rng(t)
+        q = q_unit(delta, prior, t % 50, config, a)
+        assert q_unit(delta, prior, t % 50, config, b, low=low) == q
+        assert a.bit_generator.state == b.bit_generator.state
+        flips = select_flips(delta, q, config, g)
+        assert flips == _select_by_sort(delta, q, config, g)
+        assert select_flips(delta, q, config, g, low) == flips
+        for cut in (low, low + 0.1, low - 0.1, 1.5, 2.5):  # q on and beside the least cost
+            expected = _select_by_sort(delta, cut, config, g)
+            assert select_flips(delta, cut, config, g, low) == select_flips(delta, cut, config, g) == expected
+        taken += bool(flips)
+    assert 0 < taken < 400

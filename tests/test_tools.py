@@ -1,4 +1,4 @@
-"""The byte-identity tool prints one digest entry per benchmark operation."""
+"""The byte-identity tool prints one digest entry per benchmark operation and command."""
 
 import json
 import math
@@ -8,6 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OPS_PER_RUN = {"paper-suite": 10, "anneal-m40": 16, "program-m200": 16}
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 
 def test_byte_identity_maps_every_op_of_every_workload_and_seed():
@@ -17,7 +18,14 @@ def test_byte_identity_maps_every_op_of_every_workload_and_seed():
     )
     assert done.returncode == 0, done.stderr
     table = json.loads(done.stdout)
-    assert sorted(table) == sorted(OPS_PER_RUN)
+    assert sorted(table) == sorted([*OPS_PER_RUN, "commands"])
+    commands = table.pop("commands")
+    assert sorted(commands) == sorted(["gen", "solve", "bench", "kernels", *DEMOS])
+    assert len(DEMOS) == 4
+    for key, entry in commands.items():
+        assert len(entry["sha256"]) == 64 and int(entry["sha256"], 16) >= 0
+        assert entry["exit"] in ((0, 1) if key == "solve" else (0,))  # solve: 1 is Unknown
+    assert len({entry["sha256"] for entry in commands.values()}) == len(commands)
     for name, n_ops in OPS_PER_RUN.items():
         assert sorted(table[name]) == ["1", "7"]
         for ops in table[name].values():

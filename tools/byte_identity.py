@@ -5,26 +5,48 @@ once and prints a JSON map from workload, seed and operation index to the
 sha256 of what the operation wrote and the ``repr`` of its execute and
 inference energies.  On the random workloads the digest is that of the
 report JSON; on paper-suite it covers the suite CSV and then every solve's
-report.  A change is byte-identical when two checkouts print the same map:
+report.  Under ``commands`` the map also holds the sha256 and exit code of
+fixed command-line runs (``gen``, an m=40 ``solve --report`` on a 120x240
+array, ``bench --csv`` and ``kernels --csv``) and of each demo's stdout, run
+in subprocesses on the checkout's ``src/``.  A change is byte-identical when
+two checkouts print the same map:
 
     python3 tools/byte_identity.py > change.json
     python3 tools/byte_identity.py --root ../parent > parent.json
     cmp parent.json change.json
 
-``--root`` names the checkout whose ``src/`` and ``perfbench/`` are run (by
-default the one holding this script).  Exit code 1 when an operation's
-output fails the benchmark's own checks.
+``--root`` names the checkout whose ``src/``, ``perfbench/`` and ``demos/``
+are run (by default the one holding this script).  Exit code 1 when an
+operation's output fails the benchmark's own checks or a command exits with
+an unexpected code.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("paper-suite", "anneal-m40", "program-m200")
 SEEDS = (1, 7)
+SOLVE_CONFIG = {
+    "device": {"rows": 120, "cols": 240},
+    "solver": {"k": 2, "a_pen": 3.0, "b_pen": 1.5, "restarts": 2, "max_iters": 50},
+}
+# (key, ising_reram.cli arguments, the file digested; None: the stdout, kept as <key>.out)
+CLI_RUNS = (
+    ("gen", ["gen", "--vars", "13", "--clauses", "40", "--seed", "5"], None),
+    ("solve", ["solve", "gen.out", "--seed", "3", "--config", "cfg.json", "--report", "m40.json"],
+     "m40.json"),
+    ("bench", ["bench", "--runs", "3", "--iters", "5", "--seed", "9", "--csv", "bench.csv"],
+     "bench.csv"),
+    ("kernels", ["kernels", "--trials", "4", "--seed", "2", "--csv", "kernels.csv"], "kernels.csv"),
+)
 
 
 def load_workloads(root: Path):
@@ -64,11 +86,37 @@ def digests(workloads) -> tuple[dict, int]:
     return out, errors
 
 
+def command_digests(root: Path) -> tuple[dict, int]:
+    """Digests of the CLI runs and the demos' stdout, and the count of bad exits.
+
+    Each runs in a subprocess with ``sys.executable`` and ``root/src`` on its
+    path, in a scratch directory holding the solve's config.  ``solve`` exits
+    1 on an Unknown verdict; everything else must exit 0.
+    """
+    env = {**os.environ, "PYTHONPATH": str((root / "src").resolve())}
+    runs = [(key, ["-m", "ising_reram.cli", *args], written) for key, args, written in CLI_RUNS]
+    runs += [(demo.name, [str(demo.resolve())], None) for demo in sorted((root / "demos").glob("*.py"))]
+    out, errors = {}, 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "cfg.json").write_text(json.dumps(SOLVE_CONFIG))
+        for key, args, written in runs:
+            done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True)
+            (work / f"{key}.out").write_bytes(done.stdout)
+            target = work / (written or f"{key}.out")
+            data = target.read_bytes() if target.exists() else b""  # a failed run wrote nothing
+            errors += done.returncode not in ((0, 1) if key == "solve" else (0,))
+            out[key] = {"sha256": hashlib.sha256(data).hexdigest(), "exit": done.returncode}
+    return out, errors
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
     table, errors = digests(load_workloads(args.root))
+    table["commands"], bad_exits = command_digests(args.root)
+    errors += bad_exits
     print(json.dumps(table, indent=1, sort_keys=True))
     return 1 if errors else 0
 
