@@ -35,7 +35,8 @@ print(f"write energy: mean {np.mean(energies):.2f} nJ vs {swing:.2f} nJ at full 
 
 print("\n=== Differential pair conventions ===")
 xb = new_crossbar(cfg, seed=7)
-xb.program_pair(0, col_pos=1, col_neg=0, logical=-1, kind="init")
+# Weight -1 into pair (neg col 0, pos col 1), positive cell first: the high cell goes to neg.
+xb.program([(0, 1, CellState.STATE0), (0, 0, CellState.STATE1)], "init")
 print(f"logical -1: neg column cell -> {CellState(xb.state[0, 0]).name}, "
       f"pos column cell -> {CellState(xb.state[0, 1]).name}")
 drive = np.zeros(cfg.rows, dtype=int)
@@ -55,4 +56,5 @@ led = xb.ledger
 print(f"init {led.init_energy_nj:.3f} nJ, program {led.program_energy_nj:.3f} nJ, "
       f"inference {led.inference_energy_nj:.6f} nJ")
 print("\nsnapshot of the first rows (uS):")
-print("\n".join(xb.snapshot_csv().splitlines()[:2]))
+for row in xb.conductance[:2]:
+    print(",".join(f"{g:.3f}" for g in row))

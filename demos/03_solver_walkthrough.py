@@ -44,8 +44,9 @@ print(f"initial spins {spins}, energy {hamiltonian_energy(graph, spins, params):
 prior = None
 for t in range(6):
     delta = compute_delta(xb, spins, degrees, params)
-    q = q_unit(delta, prior, t, config, rng)
-    flips = select_flips(delta, q, config, graph)
+    low = delta.min()
+    q = q_unit(low, np.std(prior) if prior is not None else None, t, config, rng)
+    flips = select_flips(delta, q, config, graph, low)
     apply_flips(xb, spins, flips, adj)
     energy = hamiltonian_energy(graph, spins, params)
     mode = "greedy" if q == 0.0 and (delta < 0).any() else "annealing"

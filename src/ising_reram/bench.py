@@ -84,10 +84,12 @@ def kernel_energy_report(
 ) -> list[KernelEnergyRow]:
     """Initialize/flip energy statistics for every fundamental sub-matrix.
 
-    Per trial and kernel: a fresh array is programmed with the kernel pattern
-    (phase "initialize"), then the first column's weights are inverted (phase
-    "program-iteration", two cell writes per pair).  Means and standard
-    deviations are taken over the trials.
+    Per trial and kernel: a fresh array is programmed with the kernel pattern,
+    a +1 weight per position, in one batch (phase "initialize"), then the
+    first column's weights are inverted in a second batch (phase
+    "program-iteration", two cell writes per pair).  Each pair (2c, 2c+1) is
+    written positive cell first.  Means and standard deviations are taken over
+    the trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -97,12 +99,10 @@ def kernel_energy_report(
         flip_samples = []
         for trial in range(trials):
             xb = new_crossbar(device_config, derive_seed(seed, k_idx, trial))
-            for r, c in pattern:
-                xb.program_pair(r, 2 * c + 1, 2 * c, 1, "init")
+            init = [cell for r, c in pattern for cell in ((r, 2 * c + 1, 1), (r, 2 * c, 0))]
+            xb.program(init, "init")
             init_samples.append(xb.ledger.init_energy_nj)
-            for r, c in pattern:
-                if c == 0:
-                    xb.program_pair(r, 2 * c + 1, 2 * c, -1)
+            xb.program([cell for r, c in pattern if c == 0 for cell in ((r, 1, 0), (r, 0, 1))])
             flip_samples.append(xb.ledger.program_energy_nj)
         for phase, samples in (("initialize", init_samples), ("program-iteration", flip_samples)):
             rows.append(
@@ -234,15 +234,6 @@ def rows_to_csv(cls: type, rows: list) -> str:
     lines = [",".join(get_type_hints(cls))]
     lines += [",".join(str(v) for v in field_dict(row).values()) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def rows_from_csv(cls: type, text: str) -> list:
-    """Inverse of :func:`rows_to_csv`; each value is parsed by its field type."""
-    header, *lines = text.strip().splitlines()
-    types = get_type_hints(cls)
-    if header != ",".join(types):
-        raise ValueError(f"unexpected {cls.__name__} CSV header: {header!r}")
-    return [cls(*(t(v) for t, v in zip(types.values(), line.split(",")))) for line in lines]
 
 
 def kernel_report_csv(rows: list[KernelEnergyRow]) -> str:

@@ -209,10 +209,10 @@ class WriteOutcome(NamedTuple):
 
 
 class EnergyLedger:
-    """Energy totals per kind: init, program, inference and injected."""
+    """Energy totals per kind: init, program and inference."""
 
     def __init__(self) -> None:
-        self._totals = {"init": 0.0, "program": 0.0, "inference": 0.0, "injected": 0.0}
+        self._totals = {"init": 0.0, "program": 0.0, "inference": 0.0}
 
     def record(self, kind: str, energy_nj: float) -> None:
         if not energy_nj >= 0:  # also rejects NaN
@@ -344,26 +344,6 @@ class Crossbar:
                 landed += write(row, col, target, kind).landed_in_window
         return len(cells), landed
 
-    def program_pair(
-        self, row: int, col_pos: int, col_neg: int, logical: int, kind: str = "program"
-    ) -> tuple[WriteOutcome, WriteOutcome]:
-        """Write one signed weight into a differential column pair.
-
-        logical +1 puts the high cell in the positive column, -1 in the
-        negative column, 0 sets both low.  Cells already holding their target
-        are skipped inside :meth:`program_cell`.
-        """
-        if col_pos == col_neg:
-            raise ValueError("differential pair must use two distinct columns")
-        if logical not in (-1, 0, 1):
-            raise ValueError(f"logical weight must be -1, 0, or +1, got {logical}")
-        pos_target = CellState.STATE1 if logical == 1 else CellState.STATE0
-        neg_target = CellState.STATE1 if logical == -1 else CellState.STATE0
-        return (
-            self.program_cell(row, col_pos, pos_target, kind),
-            self.program_cell(row, col_neg, neg_target, kind),
-        )
-
     def read_columns(self, drive: Sequence[int]) -> np.ndarray:
         """Column currents (uA) under a signed row drive, logging read energy.
 
@@ -392,22 +372,13 @@ class Crossbar:
         return currents
 
     def inject_fault(self, row: int, col: int, conductance: float) -> None:
-        """Force a cell's conductance directly; logged but free of energy."""
+        """Force a cell's conductance directly, at no energy and with no ledger entry."""
         self._check_coords(row, col)
         g = float(conductance)
         if not math.isfinite(g):
             raise ValueError(f"fault conductance must be finite, got {g!r}")
         self.conductance[row, col] = g
         self.state[row, col] = self.config.classify_value(g)
-        self.ledger.record("injected", 0.0)
-
-    def snapshot_csv(self) -> str:
-        """Row-major CSV dump of the conductance grid, 3 decimal places."""
-        lines = [
-            ",".join(f"{value:.3f}" for value in row_values)
-            for row_values in self.conductance
-        ]
-        return "\n".join(lines) + "\n"
 
 
 def new_crossbar(config: DeviceConfig, seed: int) -> Crossbar:

@@ -209,31 +209,19 @@ def compute_delta(
 
 
 def q_unit(
-    delta: np.ndarray,
-    prior_delta: Optional[np.ndarray],
-    t: int,
-    config: SolverConfig,
-    rng: np.random.Generator,
-    prior_sigma: Optional[float] = None,
-    low: Optional[float] = None,
+    low: float, sigma: Optional[float], t: int, config: SolverConfig, rng: np.random.Generator
 ) -> float:
-    """Dynamic flip threshold.
+    """Dynamic flip threshold from the least flip cost ``low``, ``min(delta)``.
 
-    Greedy mode (q = 0) whenever an improving move exists; otherwise a
-    Metropolis threshold q = -T_t * ln(u) with T_t scaled by the spread of the
-    previous iteration's flip costs (falling back to b_pen when there is no
-    usable prior).  ``prior_sigma`` is that spread, ``np.std(prior_delta)``,
-    and ``low`` is the least cost, ``min(delta)``, when the caller already
-    holds them; with ``low`` the greedy test is one comparison.
+    Greedy mode (q = 0, no draw) whenever an improving move exists, that is
+    ``low < 0``; otherwise a Metropolis threshold q = -T_t * ln(u) with
+    T_t = t0 * alpha**t * sigma.  ``sigma`` is the spread of the previous
+    iteration's flip costs, ``np.std(prior_delta)``; None (no prior) or 0
+    falls back to b_pen.
     """
-    improving = np.any(delta < 0) if low is None else low < 0.0
-    if improving:
+    if low < 0.0:
         return 0.0
-    if prior_sigma is not None:
-        sigma = prior_sigma
-    else:
-        sigma = float(np.std(prior_delta)) if prior_delta is not None else 0.0
-    if sigma <= 0.0:
+    if sigma is None or sigma <= 0.0:
         sigma = config.b_pen
     temperature = config.t0 * (config.alpha ** t) * sigma
     u = 1.0 - rng.random()  # uniform on (0, 1]
@@ -242,22 +230,17 @@ def q_unit(
 
 
 def select_flips(
-    delta: np.ndarray,
-    q: float,
-    config: SolverConfig,
-    graph: IsingGraph,
-    low: Optional[float] = None,
+    delta: np.ndarray, q: float, config: SolverConfig, graph: IsingGraph, low: float
 ) -> list[int]:
     """Up to k candidates with delta below q, forming an independent set.
 
     Candidates are ordered by the control function (min: ascending delta) with
     node id as the tie-break; adjacent picks are skipped because simultaneous
     neighbor flips would invalidate each other's predicted cost.  ``low`` is
-    ``min(delta)`` when the caller already holds it: no cost is below q
-    exactly when ``low`` is not, and then the answer is [] after one
-    comparison, with no pass over ``delta``.
+    ``min(delta)``: no cost is below q exactly when ``low`` is not, and then
+    the answer is [] after one comparison, with no pass over ``delta``.
     """
-    if low is not None and not low < q:
+    if not low < q:
         return []
     candidates = np.flatnonzero(delta < q)
     keys = -delta[candidates] if config.control_f == "max" else delta[candidates]
@@ -313,11 +296,6 @@ def _columns_hold_pattern(
     return np.array(held, dtype=bool)
 
 
-def _mapped_pattern_ok(xb: Crossbar, adj: np.ndarray, spins: np.ndarray) -> bool:
-    """Do all mapped cells classify as the expected spin-signed pattern?"""
-    return bool(_columns_hold_pattern(xb, adj, spins, slice(None)).all())
-
-
 def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> RunReport:
     """Full solve: restarts of map -> {read, threshold, flip, reprogram} loops.
 
@@ -329,7 +307,9 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     records an inference energy of 0.  The least cost is taken once per read
     and handed to q_unit's greedy test and select_flips' candidate test, so an
     iteration that flips nothing costs the q draw (one uniform) and one
-    comparison, with no pass over delta.  Only the flipped
+    comparison, with no pass over delta.  The spread of the previous
+    iteration's costs, which scales q_unit's annealing temperature, is taken
+    only on a non-greedy iteration and at most once per read.  Only the flipped
     columns are verified again, and the all-columns verdict is refreshed only
     after a flip.  A verified assignment ends the run with verdict SAT (unless
     ``profile_iterations`` is set, in which case every restart runs its full
@@ -356,8 +336,9 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         pattern_ok = _columns_hold_pattern(xb, adj, spins, slice(None))
         pattern_all = bool(pattern_ok.all())
         traces: list[IterationTrace] = []
-        prior_delta: Optional[np.ndarray] = None
-        prior_sigma: Optional[float] = None  # np.std(prior_delta), once taken
+        prior_delta: Optional[np.ndarray] = None  # the previous iteration's delta
+        sigma: Optional[float] = None  # np.std(spread_of), taken once per read
+        spread_of: Optional[np.ndarray] = None
         found_here = False
 
         for t in range(solver_config.max_iters):
@@ -368,7 +349,9 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
                 costs = delta.tolist()
                 delta_tuple = tuple(costs)
                 low = min(costs)
-            q = q_unit(delta, prior_delta, t, solver_config, srng, prior_sigma, low)
+            if not low < 0.0 and prior_delta is not spread_of:  # only annealing uses sigma
+                sigma, spread_of = float(np.std(prior_delta)), prior_delta
+            q = q_unit(low, sigma, t, solver_config, srng)
             flips = select_flips(delta, q, solver_config, graph, low)
             targeted, correct = apply_flips(xb, spins, flips, adj)
             if flips:
@@ -397,12 +380,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
                 found_here = True
             if not profile and (assignment is not None or not flips):
                 break
-            # Without a flip delta stays, and the next iteration, which cannot
-            # be greedy then, takes its threshold from delta's spread.
-            if flips:
-                prior_sigma = None
-            elif delta is not prior_delta:
-                prior_sigma = float(np.std(delta))
             prior_delta = delta
 
         all_traces.append(traces)

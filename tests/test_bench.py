@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from ising_reram import (
+    CellState,
     DeviceConfig,
     SolverConfig,
     emit_dimacs,
     kernel_energy_report,
+    new_crossbar,
     paper_instances,
     paper_suite,
     random_3sat,
@@ -20,13 +23,14 @@ from ising_reram import (
     sublinearity_check,
 )
 from ising_reram.bench import (
+    KERNEL_PATTERNS,
     AccuracyRow,
     KernelEnergyRow,
     kernel_report_csv,
-    rows_from_csv,
     suite_report_csv,
 )
 from ising_reram.cli import main
+from ising_reram.util import derive_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,6 +61,36 @@ def test_kernel_report_shape_and_determinism():
     assert all(r.samples == 5 and r.std_nj >= 0 for r in rows1)
 
 
+def _kernel_rows_cell_by_cell(device_config, trials, seed):
+    """kernel_energy_report's rows from one program_cell call per cell, positive cell first."""
+    rows = []
+    for k_idx, (kernel, pattern) in enumerate(KERNEL_PATTERNS.items()):
+        init, flip = [], []
+        for trial in range(trials):
+            xb = new_crossbar(device_config, derive_seed(seed, k_idx, trial))
+            for r, c in pattern:
+                xb.program_cell(r, 2 * c + 1, CellState.STATE1, "init")
+                xb.program_cell(r, 2 * c, CellState.STATE0, "init")
+            init.append(xb.ledger.init_energy_nj)
+            for r, c in pattern:
+                if c == 0:
+                    xb.program_cell(r, 1, CellState.STATE0, "program")
+                    xb.program_cell(r, 0, CellState.STATE1, "program")
+            flip.append(xb.ledger.program_energy_nj)
+        for phase, samples in (("initialize", init), ("program-iteration", flip)):
+            rows.append(KernelEnergyRow(kernel, phase, float(np.mean(samples)),
+                                        float(np.std(samples)), trials))
+    return rows
+
+
+@pytest.mark.parametrize("shortcut_writes", [True, False])
+def test_kernel_report_equals_cell_by_cell_writes(shortcut_writes):
+    device = DeviceConfig(shortcut_writes=shortcut_writes)
+    for trials, seed in ((6, 3), (3, 11)):
+        rows = kernel_energy_report(device, trials, seed)
+        assert rows == _kernel_rows_cell_by_cell(device, trials, seed)
+
+
 def test_kernel_flip_ratio_structural():
     rows = kernel_energy_report(DeviceConfig(), trials=30, seed=1)
     means = {(r.kernel, r.phase): r.mean_nj for r in rows}
@@ -67,9 +101,17 @@ def test_kernel_flip_ratio_structural():
     assert 1.5 <= core / inconn <= 2.5
 
 
+def _rows_from_csv(cls, text):
+    """Rows back from a CSV report, each value parsed by its field type."""
+    header, *lines = text.strip().splitlines()
+    types = get_type_hints(cls)
+    assert header == ",".join(types)
+    return [cls(*(t(v) for t, v in zip(types.values(), line.split(",")))) for line in lines]
+
+
 def test_kernel_csv_round_trip():
     rows = kernel_energy_report(DeviceConfig(), trials=3, seed=2)
-    assert rows_from_csv(KernelEnergyRow, kernel_report_csv(rows)) == rows
+    assert _rows_from_csv(KernelEnergyRow, kernel_report_csv(rows)) == rows
 
 
 def test_run_suite_rows_and_determinism():
@@ -81,7 +123,7 @@ def test_run_suite_rows_and_determinism():
     for row in rows1:
         assert 0.0 <= row.iter_acc <= 1.0
         assert 0.0 <= row.sat_rate <= 1.0
-    assert rows_from_csv(AccuracyRow, suite_report_csv(rows1)) == rows1
+    assert _rows_from_csv(AccuracyRow, suite_report_csv(rows1)) == rows1
 
 
 def test_run_suite_ideal_accuracy_is_one():

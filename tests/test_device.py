@@ -130,34 +130,35 @@ def test_write_then_reprogram_same_state_costs_nothing():
     assert again.final_g == first.final_g
 
 
+def _pair_cells(row, col_pos, col_neg, logical):
+    """A signed weight in a differential pair as two cells, positive cell first."""
+    return [(row, col_pos, int(logical == 1)), (row, col_neg, int(logical == -1))]
+
+
 def test_program_pair_conventions():
     xb = new_crossbar(exact_device(), seed=1)
     # logical -1: high cell goes to the negative column (2j), per the
     # pairwise-opposite write convention.
-    xb.program_pair(0, col_pos=1, col_neg=0, logical=-1, kind="init")
+    xb.program(_pair_cells(0, col_pos=1, col_neg=0, logical=-1), "init")
     assert xb.state[0, 0] == CellState.STATE1
     assert xb.state[0, 1] == CellState.STATE0
     # logical 0 from fresh cells is free.
     before = xb.ledger.total_nj()
-    xb.program_pair(1, col_pos=3, col_neg=2, logical=0, kind="init")
+    xb.program(_pair_cells(1, col_pos=3, col_neg=2, logical=0), "init")
     assert xb.ledger.total_nj() == before
 
 
 def test_program_pair_flip_costs_two_transitions():
     xb = new_crossbar(exact_device(), seed=1)
-    xb.program_pair(0, 1, 0, -1, "init")
+    xb.program(_pair_cells(0, 1, 0, -1), "init")
     before = xb.ledger.program_energy_nj
-    xb.program_pair(0, 1, 0, 1, "program")
+    xb.program(_pair_cells(0, 1, 0, 1), "program")
     flip_cost = xb.ledger.program_energy_nj - before
     assert flip_cost == pytest.approx(2 * 2.8, abs=1e-9)
 
 
-def test_program_pair_validation():
+def test_write_validation():
     xb = new_crossbar(DeviceConfig(), seed=1)
-    with pytest.raises(ValueError):
-        xb.program_pair(0, 2, 2, 1)
-    with pytest.raises(ValueError):
-        xb.program_pair(0, 1, 0, 5)
     with pytest.raises(IndexError):
         xb.program_cell(99, 0, CellState.STATE1)
     with pytest.raises(ValueError):
@@ -420,32 +421,36 @@ def test_program_cell_equals_numpy_distribution_calls_bit_for_bit(overrides):
 
 
 def test_ledger_completeness_and_determinism():
+    cells = [cell for col in range(8) for cell in _pair_cells(col % 4, 2 * col + 1, 2 * col, 1)]
+
     def exercise(seed):
         xb = new_crossbar(DeviceConfig(), seed=seed)
-        outcomes = [
-            xb.program_pair(col % 4, 2 * (col % 8) + 1, 2 * (col % 8), 1, "init")
-            for col in range(8)
-        ]
+        counts = xb.program(cells, "init")
         xb.read_columns(np.ones(32, dtype=int))
-        return xb, outcomes
+        twin = new_crossbar(DeviceConfig(), seed=seed)  # the same writes, one call each
+        outcomes = [twin.program_cell(*cell, "init") for cell in cells]
+        return xb, counts, outcomes
 
-    (xb1, out1), (xb2, out2) = exercise(5), exercise(5)
+    (xb1, counts1, out1), (xb2, counts2, out2) = exercise(5), exercise(5)
+    assert counts1 == counts2 == (len(cells), sum(out.landed_in_window for out in out1))
     assert out1 == out2
     assert (xb1.conductance == xb2.conductance).all()
-    writes = sum(out.energy_nj for pair in out1 for out in pair)
+    writes = sum(out.energy_nj for out in out1)
     assert writes == pytest.approx(xb1.ledger.init_energy_nj)
     assert xb1.ledger.init_energy_nj + xb1.ledger.inference_energy_nj == pytest.approx(
         xb1.ledger.total_nj()
     )
-    _, out3 = exercise(6)
+    xb3, _, out3 = exercise(6)
     assert out3 != out1
+    assert not (xb3.conductance == xb1.conductance).all()
 
 
-def test_snapshot_csv():
+def test_inject_fault_sets_one_cell_at_no_energy():
     xb = new_crossbar(DeviceConfig(rows=2, cols=3), seed=1)
     xb.inject_fault(0, 1, 61.25)
-    text = xb.snapshot_csv()
-    assert text == "20.000,61.250,20.000\n20.000,20.000,20.000\n"
+    assert xb.conductance.tolist() == [[20.0, 61.25, 20.0], [20.0, 20.0, 20.0]]
+    assert xb.state[0, 1] == CellState.STATE1
+    assert xb.ledger.total_nj() == 0.0
 
 
 def test_config_json_round_trip():

@@ -13,8 +13,16 @@ import json
 from pathlib import Path
 
 import ising_reram.bench
+import ising_reram.cnf
 import ising_reram.solver
-from ising_reram import DeviceConfig, SolverConfig, paper_suite, random_3sat, run_suite
+from ising_reram import (
+    DeviceConfig,
+    SolverConfig,
+    emit_dimacs,
+    paper_suite,
+    random_3sat,
+    run_suite,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -57,10 +65,11 @@ def test_traced_solves_give_every_per_layer_metric():
     try:
         # Looked up after install, as the benchmark calls them.
         report = ising_reram.solver.run(
-            random_3sat(5, 6, 1),
+            ising_reram.cnf.parse_dimacs(emit_dimacs(random_3sat(5, 6, 1))),
             DeviceConfig(rows=18, cols=36),
             SolverConfig(restarts=2, max_iters=5, profile_iterations=True),
         )
+        ising_reram.solver.report_to_json(report)
         suite = paper_suite(runs=2, iters=2)
         ising_reram.bench.run_suite(suite, DeviceConfig(), SolverConfig(), seed=1)
     finally:
@@ -75,3 +84,7 @@ def test_traced_solves_give_every_per_layer_metric():
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert tracer.missing == []
     assert sorted(metrics) == sorted(entry["name"] for entry in per_layer)
+    # A layer that the program reaches around its wrapped name would read 0.
+    # Nothing in the program calls classify_grid.
+    idle = {prefix for prefix, span in tracer.spans.items() if not span.calls}
+    assert idle <= {"device.classify_grid"}

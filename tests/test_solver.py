@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -33,7 +34,7 @@ from ising_reram import (
     verify_assignment,
 )
 import ising_reram.solver as solver_module
-from ising_reram.solver import _columns_hold_pattern, _mapped_pattern_ok, random_spins
+from ising_reram.solver import _columns_hold_pattern, random_spins
 from ising_reram.util import derive_seed, substream
 from conftest import exact_device, graph_from_edges, unsat_eight_clause
 
@@ -128,10 +129,18 @@ def test_compute_delta_noisy_in_window_bound():
         assert (np.abs(delta - oracle) <= bound + 1e-12).all()
 
 
+def _pattern_ok(xb, adj, spins):
+    """Do all mapped cells classify as the expected spin-signed pattern?"""
+    return bool(_columns_hold_pattern(xb, adj, spins, slice(None)).all())
+
+
 def test_q_unit_greedy_when_improving():
     cfg = SolverConfig()
     rng = np.random.default_rng(0)
-    assert q_unit(np.array([-1.0, -1.0]), None, 0, cfg, rng) == 0.0
+    before = rng.bit_generator.state
+    assert q_unit(-1.0, None, 0, cfg, rng) == 0.0
+    assert q_unit(-1.0, 2.0, 5, cfg, rng) == 0.0
+    assert rng.bit_generator.state == before  # greedy mode draws nothing
 
 
 def test_q_unit_acceptance_law():
@@ -142,7 +151,8 @@ def test_q_unit_acceptance_law():
     t = 0  # T = t0 * alpha^0 * sigma = 1.0
     delta = np.array([1.0, 5.0])
     draws = 20_000
-    hits = sum(q_unit(delta, prior, t, cfg, rng) > 1.0 for _ in range(draws))
+    low, sigma = min(delta.tolist()), float(np.std(prior))
+    hits = sum(q_unit(low, sigma, t, cfg, rng) > 1.0 for _ in range(draws))
     assert abs(hits / draws - np.exp(-1.0)) < 0.02
 
 
@@ -154,39 +164,44 @@ def test_q_unit_u_equal_one_gives_zero_threshold():
     cfg = SolverConfig()
     g = graph_from_edges(2, [])
     delta = np.array([2.0, 3.0])  # no improving move
-    q = q_unit(delta, None, 0, cfg, StubRng())
+    q = q_unit(2.0, None, 0, cfg, StubRng())
     assert q == 0.0
-    assert select_flips(delta, q, cfg, g) == []
+    assert select_flips(delta, q, cfg, g, 2.0) == []
 
 
 def test_q_unit_constant_prior_falls_back_to_b_pen():
     cfg = SolverConfig(t0=2.0)
     rng = np.random.default_rng(5)
     prior = np.full(4, 3.0)  # zero spread
-    values = [q_unit(np.array([0.5]), prior, 0, cfg, rng) for _ in range(2000)]
+    values = [q_unit(0.5, float(np.std(prior)), 0, cfg, rng) for _ in range(2000)]
     # q = -2*b_pen*ln(u): mean 2.0 for b_pen=1.
     assert np.mean(values) == pytest.approx(2.0, rel=0.1)
+    # No prior (sigma None) falls back the same way, draw for draw.
+    a, b = np.random.default_rng(6), np.random.default_rng(6)
+    assert [q_unit(0.5, None, 3, cfg, a) for _ in range(50)] == [
+        q_unit(0.5, 0.0, 3, cfg, b) for _ in range(50)
+    ]
 
 
 def test_select_flips_independence_filter():
     g = graph_from_edges(2, [(0, 1)])
     cfg = SolverConfig(k=2)
-    flips = select_flips(np.array([-1.0, -1.0]), 0.0, cfg, g)
+    flips = select_flips(np.array([-1.0, -1.0]), 0.0, cfg, g, -1.0)
     assert flips == [0]
 
 
 def test_select_flips_ordering_and_k():
     g = graph_from_edges(3, [])
     cfg = SolverConfig(k=2)
-    flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, g)
+    flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, g, -3.0)
     assert flips == [0, 2]
-    assert select_flips(np.array([1.0, 2.0]), 0.0, cfg, g) == []
+    assert select_flips(np.array([1.0, 2.0]), 0.0, cfg, g, 1.0) == []
 
 
 def test_select_flips_max_control():
     g = graph_from_edges(3, [])
     cfg = SolverConfig(k=1, control_f="max")
-    flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, g)
+    flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, g, -3.0)
     assert flips == [1]
 
 
@@ -274,7 +289,7 @@ def test_energy_descent_greedy_exact(three_x):
     for _ in range(10):
         energy_before = hamiltonian_energy(g, spins, PARAMS)
         delta = compute_delta(xb, spins, degrees, PARAMS)
-        flips = select_flips(delta, 0.0, cfg, g)
+        flips = select_flips(delta, 0.0, cfg, g, delta.min())
         if not flips:
             break
         apply_flips(xb, spins, flips, adj)
@@ -285,10 +300,10 @@ def test_energy_descent_greedy_exact(three_x):
 
 def test_column_spin_coherence_after_flips(three_x):
     g, adj, spins, xb = build_problem(three_x, seed=5)
-    assert _mapped_pattern_ok(xb, adj, spins)
+    assert _pattern_ok(xb, adj, spins)
     for flip in ([0], [3], [2]):
         apply_flips(xb, spins, flip, adj)
-        assert _mapped_pattern_ok(xb, adj, spins)
+        assert _pattern_ok(xb, adj, spins)
 
 
 def test_pairwise_fault_tolerance_exact(three_x):
@@ -440,10 +455,11 @@ def _hand_loop(cnf, device, config):
             before = xb.ledger.inference_energy_nj
             delta = compute_delta(xb, spins, degrees, config.hamiltonian)
             read_nj = xb.ledger.inference_energy_nj - before
-            q = q_unit(delta, prior, t, config, rng)
-            flips = select_flips(delta, q, config, graph)
+            low = min(delta.tolist())
+            q = q_unit(low, float(np.std(prior)) if prior is not None else None, t, config, rng)
+            flips = select_flips(delta, q, config, graph, low)
             targeted, correct = apply_flips(xb, spins, flips, adj)
-            accurate = correct == targeted and _mapped_pattern_ok(xb, adj, spins)
+            accurate = correct == targeted and _pattern_ok(xb, adj, spins)
             rows.append(
                 (t, tuple(delta.tolist()), q, tuple(flips), targeted, correct, accurate, read_nj)
             )
@@ -556,7 +572,7 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
         return out
 
     def checking_trace(**fields):
-        oracle = _mapped_pattern_ok(live["xb"], live["adj"], live["spins"])
+        oracle = _pattern_ok(live["xb"], live["adj"], live["spins"])
         assert bool(live["pattern_ok"].all()) == oracle
         assert fields["iteration_accurate"] == (
             oracle and fields["cells_correct"] == fields["cells_targeted"]
@@ -647,16 +663,49 @@ def test_least_cost_shortcuts_match_the_full_tests():
         if t % 3:  # no improving move, and with +2 mostly no cost below q either
             delta = np.abs(delta) + 2.0 * (t % 3 - 1)
         prior = rng.normal(0.0, 1.0, g.num_nodes)
-        low = min(delta.tolist())
+        low, sigma = min(delta.tolist()), float(np.std(prior))
         a, b = np.random.default_rng(t), np.random.default_rng(t)
-        q = q_unit(delta, prior, t % 50, config, a)
-        assert q_unit(delta, prior, t % 50, config, b, low=low) == q
+        q = q_unit(low, sigma, t % 50, config, a)
+        if (delta < 0).any():
+            assert q == 0.0  # greedy, with no draw
+        else:
+            u = b.random()
+            assert q == float(-config.t0 * config.alpha ** (t % 50) * sigma * np.log(1.0 - u))
         assert a.bit_generator.state == b.bit_generator.state
-        flips = select_flips(delta, q, config, g)
+        flips = select_flips(delta, q, config, g, low)
         assert flips == _select_by_sort(delta, q, config, g)
-        assert select_flips(delta, q, config, g, low) == flips
         for cut in (low, low + 0.1, low - 0.1, 1.5, 2.5):  # q on and beside the least cost
-            expected = _select_by_sort(delta, cut, config, g)
-            assert select_flips(delta, cut, config, g, low) == select_flips(delta, cut, config, g) == expected
+            assert select_flips(delta, cut, config, g, low) == _select_by_sort(delta, cut, config, g)
         taken += bool(flips)
     assert 0 < taken < 400
+
+
+def test_profiled_run_takes_each_spread_at_most_once_per_read(monkeypatch):
+    reads, spreads = [], []
+    compute_delta_, std_ = solver_module.compute_delta, np.std
+
+    def recording_delta(*args):
+        reads.append(compute_delta_(*args))
+        return reads[-1]
+
+    def recording_std(a, *args, **kwargs):
+        spreads.append(a)
+        return std_(a, *args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "compute_delta", recording_delta)
+    monkeypatch.setattr(solver_module.np, "std", recording_std)
+    config = SolverConfig(restarts=3, max_iters=60, seed=2, profile_iterations=True)
+    report = run(random_3sat(5, 8, 4), DeviceConfig(rows=24, cols=48), config)
+    monkeypatch.undo()
+    assert len(reads) > config.restarts  # some iterations read again after a flip
+    assert 0 < len(spreads) <= len(reads)
+    # Every spread is that of a read, and no read's spread is taken twice.
+    assert all(any(s is r for r in reads) for s in spreads)
+    assert len({id(s) for s in spreads}) == len(spreads)
+    # Spreads are taken only where wanted: of the read before each non-greedy iteration.
+    wanted = 0
+    for traces in report.traces:
+        read_of = list(itertools.accumulate(tr.t == 0 or bool(traces[tr.t - 1].flipped)
+                                            for tr in traces))
+        wanted += len({read_of[tr.t - 1] for tr in traces if tr.t > 0 and min(tr.delta) >= 0.0})
+    assert len(spreads) == wanted
