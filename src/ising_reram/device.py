@@ -276,7 +276,12 @@ class Crossbar:
         A shortcut landing is numpy's ``random_triangular`` formula applied to
         one ``rng.random()``, the same single uniform and the same arithmetic
         as ``rng.triangular(lo, lo, nominal)`` or ``rng.triangular(nominal,
-        hi, hi)`` without its per-call argument conversion.
+        hi, hi)`` without its per-call argument conversion.  A missed write
+        and the energy noise are numpy's ``loc + scale * z`` on one
+        ``rng.standard_normal()``, as ``rng.normal(nominal, miss_spread)``
+        and ``rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma)`` compute
+        them; the exponential is ``math.exp``, the libm call numpy's lognormal
+        makes (a ufunc such as ``np.exp`` may take a SIMD path).
         """
         cfg = self.config
         # Plain comparisons on the hot path; the checkers raise on failure.
@@ -304,14 +309,14 @@ class Crossbar:
                 # triangular(nominal, hi, hi): its ratio is exactly 1.
                 final = nominal + math.sqrt(rng.random() * p_hi)
         else:
-            final = float(rng.normal(nominal, cfg.miss_spread))
+            final = nominal + cfg.miss_spread * rng.standard_normal()
         gs = cfg._curve_segments[0]
         final = min(max(final, gs[0]), gs[-1])
         energy = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
         sigma = cfg.energy_noise_sigma
         if sigma != 0:
             # Mean-one lognormal so that configured noise leaves averages in place.
-            energy *= float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+            energy *= math.exp(-0.5 * sigma * sigma + sigma * rng.standard_normal())
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
         self.state[row, col] = cfg._window_of(final)

@@ -388,9 +388,10 @@ def _reference_program_cell(xb, row, col, target, kind):
         {"p_cell_success": 0.5},
         {"shortcut_writes": False},
         {"energy_noise_sigma": 0.0},
+        {"energy_noise_sigma": 0.7},
         {"g_state0": 15, "g_state1": 80, "tolerance": 7.5},
     ],
-    ids=["default", "p0.5", "no-shortcut", "no-noise", "window-15-80"],
+    ids=["default", "p0.5", "no-shortcut", "no-noise", "noise-0.7", "window-15-80"],
 )
 def test_program_cell_equals_numpy_distribution_calls_bit_for_bit(overrides):
     cfg = DeviceConfig(rows=6, cols=6, **overrides)

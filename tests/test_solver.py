@@ -356,14 +356,17 @@ def _stdlib_report_json(report):
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _synthetic_report():
-    """Floats the stdlib spells specially: signed zeros, extremes, NaN, infinities."""
+def _synthetic_reports():
+    """Floats the stdlib spells specially (signed zeros, extremes, NaN,
+    infinities), ints beyond a float's exact range, a long ``flipped``, an
+    empty restart and a report with no restarts."""
     specials = (0.0, -0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf, 0.1, -0.0, 0.0)
     traces = [
         IterationTrace(0, specials, -0.0, (), 0, 0, True, 0.0, 1e-300),
         IterationTrace(1, specials[::-1], math.nan, (2, 0), 4, 3, False, -0.0, 0.1),
+        IterationTrace(2**53 + 1, (), 1e308, (7, 2**60, 0, 3), 2**64, 3, True, math.inf, -1.5),
     ]
-    return RunReport(
+    report = RunReport(
         verdict="Unknown",
         assignment=None,
         final_spins=(1, -1, 1),
@@ -373,6 +376,7 @@ def _synthetic_report():
         cell_write_accuracy=0.75,
         restarts_executed=2,
     )
+    return [report, dataclasses.replace(report, traces=[])]
 
 
 def test_report_json_matches_stdlib_encoder(three_x):
@@ -384,7 +388,7 @@ def test_report_json_matches_stdlib_encoder(three_x):
     assert sat.verdict == "SAT" and sat.assignment is not None
     assert unknown.assignment is None and unknown.sat_restart is None
     assert len(noisy.traces) == 3
-    for report in (sat, unknown, noisy, _synthetic_report()):
+    for report in (sat, unknown, noisy, *_synthetic_reports()):
         assert report_to_json(report) == _stdlib_report_json(report)
 
 
@@ -402,6 +406,7 @@ def test_report_json_is_slim_and_strict():
     assert all(set(entry) == json_keys for r in parsed["traces"] for entry in r)
     assert all(len(tr.delta) == 120 for r in report.traces for tr in r)
     assert len(text.encode()) < 200_000
+    assert text == _stdlib_report_json(report)
 
 
 def test_run_report_energy_traceability(three_x):

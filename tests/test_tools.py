@@ -20,7 +20,7 @@ def test_byte_identity_maps_every_op_of_every_workload_and_seed():
     table = json.loads(done.stdout)
     assert sorted(table) == sorted([*OPS_PER_RUN, "commands"])
     commands = table.pop("commands")
-    assert sorted(commands) == sorted(["gen", "solve", "bench", "kernels", *DEMOS])
+    assert sorted(commands) == sorted(["gen", "solve", "solve-sat", "bench", "kernels", *DEMOS])
     assert len(DEMOS) == 4
     for key, entry in commands.items():
         assert len(entry["sha256"]) == 64 and int(entry["sha256"], 16) >= 0
