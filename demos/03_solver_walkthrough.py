@@ -5,6 +5,8 @@ First walks the loop manually on the fully-conflicting instance so every
 intermediate value is visible, then runs the packaged solver end to end.
 """
 
+import json
+
 import numpy as np
 
 from ising_reram import (
@@ -72,5 +74,8 @@ print(f"energy: execute {report.totals['execute_energy_nj']:.1f} nJ "
       f"(init {report.totals['init_energy_nj']:.1f} + "
       f"program {report.totals['program_energy_nj']:.1f}), "
       f"inference {report.totals['inference_energy_nj']:.2f} nJ")
-print("\nfirst lines of the JSON report:")
-print("\n".join(report_to_json(report).splitlines()[:8]))
+print("\ntop-level scalar fields of the one-line JSON report:")
+parsed = json.loads(report_to_json(report))
+for key, value in parsed.items():
+    if not isinstance(value, (dict, list)):
+        print(f"  {key}: {json.dumps(value)}")

@@ -18,7 +18,7 @@ import numpy as np
 from .cnf import Clause, Cnf
 from .device import DeviceConfig, new_crossbar
 from .ising import adjacency_matrix, build_graph, kernel_decompose
-from .solver import RunReport, SolverConfig, map_problem, random_spins, run
+from .solver import RunReport, SolverConfig, check_fits, map_problem, random_spins, run
 from .util import derive_seed, field_dict, substream
 
 OVERALL_LABEL = "Overall"
@@ -89,10 +89,12 @@ def kernel_energy_report(
     first column's weights are inverted in a second batch (phase
     "program-iteration", two cell writes per pair).  Each pair (2c, 2c+1) is
     written positive cell first.  Means and standard deviations are taken over
-    the trials.
+    the trials.  A device too small for the patterns raises MappingError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # Position (r, c) sits on row r and column pair c, as node indices do in map_problem.
+    check_fits(1 + max(max(cell) for p in KERNEL_PATTERNS.values() for cell in p), device_config)
     rows: list[KernelEnergyRow] = []
     for k_idx, (kernel, pattern) in enumerate(KERNEL_PATTERNS.items()):
         init_samples = []

@@ -23,9 +23,7 @@ random threshold q = -T * ln(u).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,90 +127,22 @@ class RunReport:
     sat_iteration: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        """Report fields as JSON values.  Trace entries leave out ``delta``: one
-        cost per node per iteration would be most of a report's bytes."""
+        """The report's content as JSON values: every field, with each trace
+        entry holding its ``IterationTrace`` fields except ``delta`` (one cost
+        per node per iteration would be most of a report's bytes)."""
         out = field_dict(self)
-        keep = [f.name for f in fields(IterationTrace) if f.name != "delta"]
-        out["traces"] = [[{k: getattr(tr, k) for k in keep} for tr in restart]
-                         for restart in self.traces]
+        # Copies: deleting from vars() itself would drop the field from the trace.
+        out["traces"] = [[vars(tr).copy() for tr in restart] for restart in self.traces]
+        for restart in out["traces"]:
+            for entry in restart:
+                del entry["delta"]
         return out
 
 
-# Trace entry keys in sorted order and one entry's text with a slot per value.
-_TRACE_KEYS = sorted(f.name for f in fields(IterationTrace) if f.name != "delta")
-_TRACE_ENTRY = (
-    "{\n" + ",\n".join(f"        {json.dumps(k)}: %s" for k in _TRACE_KEYS) + "\n      }"
-)
-_JSON_BOOL = {True: "true", False: "false"}
-
-
-def _json_array(items: list[str], pad: str) -> str:
-    """Encoded ``items`` as ``json.dumps(indent=2)`` writes an array whose
-    line is indented by ``pad``."""
-    if not items:
-        return "[]"
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
-
-
-def _json_value(value) -> str:
-    """A trace value, a bool, int or float or a list of them, spelled as
-    ``json.dumps`` spells it at trace-entry depth."""
-    if isinstance(value, (tuple, list)):
-        return _json_array(list(map(_json_scalar, value)), "        ")
-    return _json_scalar(value)
-
-
-def _json_scalar(value) -> str:
-    if value is True or value is False:
-        return _JSON_BOOL[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not isinstance(value, float):
-        raise TypeError(f"trace value {value!r} is not a bool, int, float or list of them")
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_column(values: list) -> list[str]:
-    """``_json_value`` of each value of one trace field.  A column of finite
-    floats, of ints or of bools is spelled by one C-level ``map``."""
-    kinds = set(map(type, values))
-    if kinds == {float} and math.isfinite(sum(values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {bool}:
-        return list(map(_JSON_BOOL.__getitem__, values))
-    return list(map(_json_value, values))
-
-
-def _restart_json(restart: list[IterationTrace]) -> str:
-    """One restart's trace entries, without ``delta``, as ``report_to_json`` nests them."""
-    columns = [_json_column(list(map(attrgetter(k), restart))) for k in _TRACE_KEYS]
-    return _json_array([_TRACE_ENTRY % row for row in zip(*columns)], "    ")
-
-
 def report_to_json(report: RunReport) -> str:
-    """Stable JSON encoding (sorted keys) so identical runs match byte-wise.
-
-    The bytes equal ``json.dumps(report.to_json_dict(), indent=2,
-    sort_keys=True)`` plus a newline; the tests hold that stdlib call as the
-    oracle.  ``json.dumps`` still writes the top-level fields, but with
-    ``indent`` set it runs its pure-Python encoder, so the trace entries,
-    most of a long run's report, are written by a fixed-layout encoder that
-    reads each ``IterationTrace`` directly.
-    """
-    top = field_dict(report)
-    top["traces"] = []
-    # Only a top-level key starts a line with exactly two spaces and a quote.
-    head, _, tail = json.dumps(top, indent=2, sort_keys=True).partition('\n  "traces": []')
-    traces = _json_array([_restart_json(restart) for restart in report.traces], "  ")
-    return f'{head}\n  "traces": {traces}{tail}\n'
+    """The report as one line of JSON with sorted keys, plus a newline, so identical
+    runs match byte-wise.  ``RunReport.to_json_dict`` decides what it holds."""
+    return json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
 
 
 def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,13 +159,18 @@ def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> None:
     n = adj.shape[0]
     if adj.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
-    if n > xb.config.rows or 2 * n > xb.config.cols:
+    check_fits(n, xb.config)
+    _program_columns(xb, adj, spins, range(n), "init")
+
+
+def check_fits(n: int, config: DeviceConfig) -> None:
+    """Raise MappingError, naming the setting needed, unless n nodes (n rows, 2n columns) fit."""
+    if n > config.rows or 2 * n > config.cols:
         raise MappingError(
             f"{n} nodes need {n} rows and {2 * n} columns; device is "
-            f"{xb.config.rows}x{xb.config.cols} (multi-tile operation unsupported); "
+            f"{config.rows}x{config.cols} (multi-tile operation unsupported); "
             f'set {{"device": {{"rows": {n}, "cols": {2 * n}}}}} in the --config file'
         )
-    _program_columns(xb, adj, spins, range(n), "init")
 
 
 def _program_columns(

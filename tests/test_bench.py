@@ -244,6 +244,14 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
     three.write_text(capsys.readouterr().out)
     assert main(["solve", str(three)]) == 2
     assert 'set {"device": {"rows": 9, "cols": 18}}' in capsys.readouterr().err
+    # The core kernel needs 3 rows and the 3-inconn kernel 6 columns.
+    for device in ({"rows": 2, "cols": 16}, {"rows": 4, "cols": 4}):
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps({"device": device}))
+        assert main(["kernels", "--trials", "2", "--config", str(small)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert 'set {"device": {"rows": 3, "cols": 6}}' in err
     monkeypatch.setenv("ISING_RERAM_SEED", "abc")
     assert main(["gen", "--vars", "3", "--clauses", "2"]) == 2
     assert "error: ISING_RERAM_SEED must be an integer, got 'abc'" in capsys.readouterr().err

@@ -353,7 +353,26 @@ def test_run_determinism(three_x):
 
 
 def _stdlib_report_json(report):
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
+
+
+def _canonical(text):
+    """``text`` parsed and encoded again: the same bytes for any well-formed report."""
+    return json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+def _assert_traces_round_trip(report, text):
+    """Each parsed trace entry equals its ``IterationTrace``, field by field
+    (``repr`` tells -0.0 from 0.0, matches NaN with NaN, and 1 from 1.0 and True)."""
+    parsed = json.loads(text)["traces"]
+    assert [len(r) for r in parsed] == [len(r) for r in report.traces]
+    names = sorted(f.name for f in dataclasses.fields(IterationTrace) if f.name != "delta")
+    for entry, tr in zip(itertools.chain(*parsed), itertools.chain(*report.traces)):
+        assert sorted(entry) == names
+        for name in names:
+            value = getattr(tr, name)
+            got = tuple(entry[name]) if isinstance(value, tuple) else entry[name]
+            assert repr(got) == repr(value), name
 
 
 def _synthetic_reports():
@@ -389,7 +408,10 @@ def test_report_json_matches_stdlib_encoder(three_x):
     assert unknown.assignment is None and unknown.sat_restart is None
     assert len(noisy.traces) == 3
     for report in (sat, unknown, noisy, *_synthetic_reports()):
-        assert report_to_json(report) == _stdlib_report_json(report)
+        text = report_to_json(report)
+        assert text == _stdlib_report_json(report)
+        assert text == _canonical(text)
+        _assert_traces_round_trip(report, text)
 
 
 def test_report_json_is_slim_and_strict():
@@ -405,8 +427,9 @@ def test_report_json_is_slim_and_strict():
     assert [len(r) for r in parsed["traces"]] == [300, 300]
     assert all(set(entry) == json_keys for r in parsed["traces"] for entry in r)
     assert all(len(tr.delta) == 120 for r in report.traces for tr in r)
-    assert len(text.encode()) < 200_000
+    assert len(text.encode()) < 150_000  # one line: 110,504 bytes; with indent=2, 161,054
     assert text == _stdlib_report_json(report)
+    _assert_traces_round_trip(report, text)
 
 
 def test_run_report_energy_traceability(three_x):
