@@ -10,16 +10,15 @@ iterative reprogramming), inference energy, and SAT verdict rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import get_type_hints
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .cnf import Clause, Cnf
 from .device import DeviceConfig, new_crossbar
-from .ising import adjacency_matrix, build_graph, kernel_decompose
-from .solver import RunReport, SolverConfig, check_fits, map_problem, random_spins, run
-from .util import derive_seed, field_dict, substream
+from .ising import build_graph, kernel_decompose
+from .solver import RunReport, SolverConfig, check_fits, run
+from .util import derive_seed, field_dict
 
 OVERALL_LABEL = "Overall"
 
@@ -195,24 +194,17 @@ def sublinearity_check(
     default shortcut model the measurement comes in below the prediction,
     and with shortcut writes disabled the two agree up to write noise.
 
-    ``iters=0`` measures initialization alone (the main loop never runs).
+    ``iters=0`` counts only the initialization of the same run (same seed, same
+    array) that ``iters > 0`` measures; its one iteration is not counted.
     """
     solver_config = solver_config or SolverConfig()
     graph = build_graph(instance)
-    if iters == 0:
-        xb = new_crossbar(device_config, derive_seed(seed, 0xF11, 1))
-        spins = random_spins(graph.num_nodes, substream(seed, 0xF11, 0))
-        map_problem(adjacency_matrix(graph), spins, xb)
-        measured = xb.ledger.init_energy_nj
-        flip_events: list[int] = []
-    else:
-        report = _suite_run(
-            instance, device_config, solver_config, iters, derive_seed(seed, 0xF11)
-        )
-        measured = report.totals["execute_energy_nj"]
-        flip_events = [
-            node for traces in report.traces for tr in traces for node in tr.flipped
-        ]
+    report = _suite_run(
+        instance, device_config, solver_config, iters or 1, derive_seed(seed, 0xF11)
+    )
+    measured = report.totals["execute_energy_nj" if iters else "init_energy_nj"]
+    counted = report.traces if iters else []  # the init-only run's iteration is not counted
+    flip_events = [node for traces in counted for tr in traces for node in tr.flipped]
 
     profile = kernel_decompose(graph)
     full_swing = replace(device_config, shortcut_writes=False)
@@ -233,7 +225,7 @@ def sublinearity_check(
 
 def rows_to_csv(cls: type, rows: list) -> str:
     """CSV of dataclass rows: a header of field names, one line per row."""
-    lines = [",".join(get_type_hints(cls))]
+    lines = [",".join(f.name for f in fields(cls))]
     lines += [",".join(str(v) for v in field_dict(row).values()) for row in rows]
     return "\n".join(lines) + "\n"
 

@@ -37,7 +37,7 @@ from .ising import (
     build_graph,
     decode_solution,
 )
-from .util import check_finite, derive_seed, field_dict, from_mapping, substream
+from .util import check_finite, check_object, derive_seed, field_dict, from_mapping, substream
 
 
 class MappingError(ValueError):
@@ -84,12 +84,9 @@ class SolverConfig:
 
 
 def load_config_document(doc: dict) -> tuple[DeviceConfig, SolverConfig]:
-    """Split one JSON document into device.* and solver.* sections.
-
-    Both sections are optional and fall back to defaults.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"config document must be a JSON object, got {type(doc).__name__}")
+    """Split one JSON document into its optional device.* and solver.* sections
+    (defaults when absent); any other top-level key raises."""
+    check_object(doc, ("device", "solver"), "config document", ValueError)
     device = DeviceConfig.from_dict(doc.get("device", {}))
     solver = SolverConfig.from_dict(doc.get("solver", {}))
     return device, solver
@@ -320,10 +317,11 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     iteration's costs, which scales q_unit's annealing temperature, is taken
     only on a non-greedy iteration and at most once per read.  Only the flipped
     columns are verified again, and the all-columns verdict is refreshed only
-    after a flip.  A verified assignment ends the run with verdict SAT (unless
-    ``profile_iterations`` is set, in which case every restart runs its full
-    iteration budget and the first verified decode is reported at the end;
-    only such runs have iterations after one with no flip).
+    after a flip.  That verdict is the iteration's accuracy: each cell an iteration
+    writes lies in a flipped column it verifies.  A verified assignment ends the run
+    with verdict SAT (unless ``profile_iterations`` is set, in which case every
+    restart runs its full iteration budget and the first verified decode is
+    reported at the end; only such runs have iterations after one with no flip).
     """
     graph = build_graph(cnf)
     adj = adjacency_matrix(graph)
@@ -335,7 +333,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     totals = {"init_energy_nj": 0.0, "program_energy_nj": 0.0, "inference_energy_nj": 0.0}
     sat_assignment = None
     sat_restart = sat_iteration = None
-    final_spins: Optional[np.ndarray] = None
 
     for restart in range(solver_config.restarts):
         srng = substream(solver_config.seed, restart, 0)
@@ -348,7 +345,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         prior_delta: Optional[np.ndarray] = None  # the previous iteration's delta
         sigma: Optional[float] = None  # np.std(spread_of), taken once per read
         spread_of: Optional[np.ndarray] = None
-        found_here = False
 
         for t in range(solver_config.max_iters):
             prog_before = xb.ledger.program_energy_nj
@@ -366,7 +362,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             if flips:
                 pattern_ok[flips] = _columns_hold_pattern(xb, adj, spins, flips)
                 pattern_all = bool(pattern_ok.all())
-            ok = (correct == targeted) and pattern_all
             traces.append(
                 IterationTrace(
                     t=t,
@@ -375,7 +370,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
                     flipped=tuple(flips),
                     cells_targeted=targeted,
                     cells_correct=correct,
-                    iteration_accurate=ok,
+                    iteration_accurate=pattern_all,
                     program_energy_nj=xb.ledger.program_energy_nj - prog_before,
                     inference_energy_nj=xb.ledger.inference_energy_nj - infer_before,
                 )
@@ -386,7 +381,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             if assignment is not None and sat_assignment is None:
                 sat_assignment = assignment
                 sat_restart, sat_iteration = restart, t
-                found_here = True
             if not profile and (assignment is not None or not flips):
                 break
             prior_delta = delta
@@ -395,8 +389,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         totals["init_energy_nj"] += xb.ledger.init_energy_nj
         totals["program_energy_nj"] += xb.ledger.program_energy_nj
         totals["inference_energy_nj"] += xb.ledger.inference_energy_nj
-        final_spins = spins
-        if found_here and not profile:
+        if sat_assignment is not None and not profile:
             break
 
     totals["execute_energy_nj"] = totals["init_energy_nj"] + totals["program_energy_nj"]
@@ -405,7 +398,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     return RunReport(
         verdict="SAT" if sat_assignment is not None else "Unknown",
         assignment=sat_assignment.values if sat_assignment is not None else None,
-        final_spins=tuple(int(s) for s in final_spins),
+        final_spins=tuple(int(s) for s in spins),
         traces=all_traces,
         totals=totals,
         iteration_accuracy=sum(tr.iteration_accurate for tr in every) / len(every),

@@ -66,6 +66,15 @@ def check_finite(obj, error: type[ValueError]) -> None:
             raise error(f"{type(obj).__name__}.{f.name} must be finite: {value!r}")
 
 
+def check_object(data, allowed, name: str, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``data`` is a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(data, dict):
+        raise error(f"{name} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise error(f"unknown {name} keys: {sorted(unknown)}")
+
+
 def from_mapping(cls, data, error: type[ValueError]):
     """Build dataclass ``cls`` from a decoded JSON object.
 
@@ -74,12 +83,8 @@ def from_mapping(cls, data, error: type[ValueError]):
     the default's items for a tuple); anything else raises ``error``.  The
     class's own checks run on construction and reject non-finite numbers.
     """
-    if not isinstance(data, dict):
-        raise error(f"{cls.__name__} section must be a JSON object, got {type(data).__name__}")
     defaults = {f.name: f.default for f in fields(cls)}
-    unknown = set(data) - set(defaults)
-    if unknown:
-        raise error(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    check_object(data, defaults, cls.__name__, error)
     for key, value in data.items():
         if not _matches(value, defaults[key]):
             raise error(f"{cls.__name__}.{key} has the wrong type: {value!r}")

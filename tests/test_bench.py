@@ -157,7 +157,7 @@ def test_sublinearity_gap_closes_without_shortcut():
 
 
 def test_sublinearity_zero_iterations_is_init_only():
-    # With the loop disabled only initialization remains: two core writes.
+    # Init-only counts the run's initialization alone: two core writes.
     rows = kernel_energy_report(DeviceConfig(), trials=40, seed=8)
     core_init = next(
         r.mean_nj for r in rows if (r.kernel, r.phase) == ("core", "initialize")
@@ -169,6 +169,19 @@ def test_sublinearity_zero_iterations_is_init_only():
         ]
     )
     assert measured == pytest.approx(2 * core_init, rel=0.2)
+
+
+def test_sublinearity_modes_measure_one_initialization():
+    # Both modes program the same array at one seed, so init-only is part of the full run.
+    for cnf in paper_instances().values():
+        for seed in range(5):
+            init_only, full = (
+                sublinearity_check(cnf, DeviceConfig(), seed=seed, iters=iters, kernel_trials=1)[0]
+                for iters in (0, 10)
+            )
+            assert init_only <= full
+    with pytest.raises(ValueError):
+        sublinearity_check(paper_instances()["0-X"], DeviceConfig(), iters=-1)
 
 
 @pytest.mark.parametrize("m", [8, 40])
@@ -278,6 +291,8 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ({"device": {"v_read": 10**400}}, "DeviceConfig.v_read"),
         ({"solver": {"a_pen": math.inf}}, "SolverConfig.a_pen"),
         ({"device": {"energy_curve": [[0, 0], [50, 10**400], [100, 5]]}}, "DeviceConfig.energy_curve"),
+        ({"rows": 4, "cols": 4}, "['cols', 'rows']"),
+        ({"solvr": {"k": 2}}, "['solvr']"),
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",
@@ -285,6 +300,7 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         "one-number-curve-point", "three-number-curve-point",
         "nan-v-read", "inf-miss-spread", "nan-curve-point", "nan-t0", "negative-t0",
         "huge-int-v-read", "inf-a-pen", "huge-int-curve-point",
+        "top-level-device-keys", "misspelled-solver-section",
     ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc, named):

@@ -546,6 +546,32 @@ def test_run_reads_and_decodes_only_after_a_change(monkeypatch, p_cell_success):
     assert calls["decode"] == config.restarts + flipping
 
 
+def test_run_sat_bookkeeping(monkeypatch):
+    # Without profiling, the first SAT ends the run, here after three failed restarts.
+    cnf = random_3sat(6, 10, 2)
+    graph = build_graph(cnf)
+    device = DeviceConfig(rows=30, cols=60)
+    report = run(cnf, device, SolverConfig(restarts=6, max_iters=20, seed=3))
+    assert report.verdict == "SAT" and report.sat_restart >= 1
+    assert report.restarts_executed == report.sat_restart + 1
+    assert report.traces[report.sat_restart][-1].t == report.sat_iteration
+    assert decode_solution(graph, report.final_spins, cnf).values == report.assignment
+
+    # With profiling every restart runs, and the spins reported are the last
+    # restart's: the vector random_spins drew, which run flips in place.
+    drawn = []
+
+    def recording_spins(num_nodes, rng):
+        drawn.append(random_spins(num_nodes, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(solver_module, "random_spins", recording_spins)
+    config = SolverConfig(restarts=3, max_iters=10, seed=3, profile_iterations=True)
+    report = run(cnf, device, config)
+    assert len(drawn) == report.restarts_executed == 3
+    assert report.final_spins == tuple(drawn[-1].tolist())
+
+
 def test_solver_config_json_round_trip():
     doc = {
         "device": {"rows": 16, "cols": 16},
@@ -605,6 +631,7 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
         assert fields["iteration_accurate"] == (
             oracle and fields["cells_correct"] == fields["cells_targeted"]
         )
+        assert fields["iteration_accurate"] == oracle
         verdicts.append(oracle)
         return trace_(**fields)
 
