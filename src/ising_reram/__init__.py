@@ -45,7 +45,6 @@ from .solver import (
     apply_flips,
     compute_delta,
     load_config_document,
-    load_config_file,
     map_problem,
     q_unit,
     report_to_json,

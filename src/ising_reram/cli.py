@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -18,27 +17,20 @@ from .bench import (
 )
 from .cnf import CnfError, emit_dimacs, parse_dimacs, random_3sat
 from .device import DeviceConfig, DeviceConfigError
-from .solver import SolverConfig, load_config_file, report_to_json, run
-
-SEED_ENV_VAR = "ISING_RERAM_SEED"
+from .solver import SolverConfig, load_config_document, report_to_json, run
 
 
-def _resolve_seed(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-
-
-def _load_configs(path: Optional[str]) -> tuple[DeviceConfig, SolverConfig]:
+def _load_configs(path: Optional[str], seed: Optional[int]) -> tuple[DeviceConfig, SolverConfig]:
+    """A command's settings: the ``--config`` document, or the defaults without
+    one, with ``--seed``, when given, over its ``solver.seed``."""
     if path is None:
-        return DeviceConfig(), SolverConfig()
-    return load_config_file(path)
+        device, solver = DeviceConfig(), SolverConfig()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            device, solver = load_config_document(json.load(handle))
+    if seed is not None:
+        solver = replace(solver, seed=seed)
+    return device, solver
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -63,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--report", default=None, help="write the JSON run report here")
 
     bench = sub.add_parser("bench", help="run the built-in benchmark suite")
-    bench.add_argument("--suite", default="paper", choices=["paper"])
     bench.add_argument("--runs", type=int, default=10)
     bench.add_argument("--iters", type=int, default=10)
     bench.add_argument("--seed", type=int, default=None)
@@ -79,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a random 3-SAT instance as DIMACS")
     gen.add_argument("--vars", type=int, required=True, dest="num_vars")
     gen.add_argument("--clauses", type=int, required=True, dest="num_clauses")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -90,24 +81,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "solve":
             with open(args.cnf_file, "r", encoding="utf-8") as handle:
                 cnf = parse_dimacs(handle.read())
-            device_cfg, solver_cfg = _load_configs(args.config)
-            solver_cfg = replace(solver_cfg, seed=_resolve_seed(args.seed))
+            device_cfg, solver_cfg = _load_configs(args.config, args.seed)
             report = run(cnf, device_cfg, solver_cfg)
             _write_text(args.report, report_to_json(report))
             return 0 if report.verdict == "SAT" else 1
         if args.command == "bench":
-            device_cfg, solver_cfg = _load_configs(args.config)
+            device_cfg, solver_cfg = _load_configs(args.config, args.seed)
             suite = paper_suite(runs=args.runs, iters=args.iters)
-            rows = run_suite(suite, device_cfg, solver_cfg, seed=_resolve_seed(args.seed))
+            rows = run_suite(suite, device_cfg, solver_cfg, seed=solver_cfg.seed)
             _write_text(args.csv, suite_report_csv(rows))
             return 0
         if args.command == "kernels":
-            device_cfg, _ = _load_configs(args.config)
-            rows = kernel_energy_report(device_cfg, trials=args.trials, seed=_resolve_seed(args.seed))
+            device_cfg, solver_cfg = _load_configs(args.config, args.seed)
+            rows = kernel_energy_report(device_cfg, trials=args.trials, seed=solver_cfg.seed)
             _write_text(args.csv, kernel_report_csv(rows))
             return 0
         if args.command == "gen":
-            cnf = random_3sat(args.num_vars, args.num_clauses, _resolve_seed(args.seed))
+            cnf = random_3sat(args.num_vars, args.num_clauses, args.seed)
             sys.stdout.write(emit_dimacs(cnf))
             return 0
     except (CnfError, DeviceConfigError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -182,17 +182,15 @@ class DeviceConfig:
         (lo0, hi0, *_), (lo1, hi1, *_) = self._targets[_STATE0], self._targets[_STATE1]
         return lo0, hi0, lo1, hi1
 
-    def _window_of(self, conductance: float) -> int:
-        """The window a conductance falls in, as the plain int of its CellState."""
+    def classify_value(self, conductance: float) -> int:
+        """The window a conductance falls in, as the plain int of its
+        CellState (which compares equal to the enum member)."""
         lo0, hi0, lo1, hi1 = self._window_bounds
         if lo0 <= conductance <= hi0:
             return _STATE0
         if lo1 <= conductance <= hi1:
             return _STATE1
         return _INDETERMINATE
-
-    def classify_value(self, conductance: float) -> CellState:
-        return CellState(self._window_of(conductance))
 
     def to_dict(self) -> dict:
         return field_dict(self)
@@ -319,7 +317,7 @@ class Crossbar:
             energy *= math.exp(-0.5 * sigma * sigma + sigma * rng.standard_normal())
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
-        self.state[row, col] = cfg._window_of(final)
+        self.state[row, col] = cfg.classify_value(final)
         return WriteOutcome(final, lo <= final <= hi, energy)
 
     def program(

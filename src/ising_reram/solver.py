@@ -47,7 +47,6 @@ class MappingError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     k: int = 1                      # max flips per iteration
-    control_f: str = "min"          # candidate ordering: "min" or "max"
     t0: float = 1.0                 # temperature scale (multiple of delta spread)
     alpha: float = 0.95             # geometric cooling factor
     max_iters: int = 100
@@ -67,8 +66,6 @@ class SolverConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.control_f not in ("min", "max"):
-            raise ValueError(f"control_f must be 'min' or 'max', got {self.control_f!r}")
         HamiltonianParams(self.a_pen, self.b_pen)  # raises unless a_pen > b_pen > 0
 
     @property
@@ -90,11 +87,6 @@ def load_config_document(doc: dict) -> tuple[DeviceConfig, SolverConfig]:
     device = DeviceConfig.from_dict(doc.get("device", {}))
     solver = SolverConfig.from_dict(doc.get("solver", {}))
     return device, solver
-
-
-def load_config_file(path: str) -> tuple[DeviceConfig, SolverConfig]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_config_document(json.load(handle))
 
 
 @dataclass
@@ -240,19 +232,18 @@ def select_flips(
 ) -> list[int]:
     """Up to k candidates with delta below q, forming an independent set.
 
-    Candidates are ordered by the control function (min: ascending delta) with
-    node id as the tie-break; adjacent picks are skipped because simultaneous
-    neighbor flips would invalidate each other's predicted cost.  ``low`` is
-    ``min(delta)``: no cost is below q exactly when ``low`` is not, and then
-    the answer is [] after one comparison, with no pass over ``delta``.
+    Candidates are ordered by ascending delta with node id as the tie-break;
+    adjacent picks are skipped because simultaneous neighbor flips would
+    invalidate each other's predicted cost.  ``low`` is ``min(delta)``: no
+    cost is below q exactly when ``low`` is not, and then the answer is []
+    after one comparison, with no pass over ``delta``.
     """
     if not low < q:
         return []
     candidates = np.flatnonzero(delta < q)
-    keys = -delta[candidates] if config.control_f == "max" else delta[candidates]
     chosen: list[int] = []
     # A stable sort of ascending node ids breaks ties by node id.
-    for i in candidates[np.argsort(keys, kind="stable")].tolist():
+    for i in candidates[np.argsort(delta[candidates], kind="stable")].tolist():
         if len(chosen) >= config.k:
             break
         if any(j in graph.neighbor_lists[i] for j in chosen):

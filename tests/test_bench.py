@@ -240,7 +240,7 @@ def test_cli_solve_unknown_exit_code(tmp_path, capsys):
     assert code == 1
 
 
-def test_cli_input_errors(tmp_path, capsys, monkeypatch):
+def test_cli_input_errors(tmp_path, capsys):
     missing = tmp_path / "nope.cnf"
     assert main(["solve", str(missing)]) == 2
     bad = tmp_path / "bad.cnf"
@@ -265,9 +265,6 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert 'set {"device": {"rows": 3, "cols": 6}}' in err
-    monkeypatch.setenv("ISING_RERAM_SEED", "abc")
-    assert main(["gen", "--vars", "3", "--clauses", "2"]) == 2
-    assert "error: ISING_RERAM_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -279,6 +276,7 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
         ({"device": [1, 2]}, "DeviceConfig"),
         ({"solver": {"k": "2"}}, "SolverConfig.k"),
         ({"solver": {"kk": 2}}, "kk"),
+        ({"solver": {"control_f": "min"}}, "control_f"),
         ({"solver": {"a_pen": 1.0, "b_pen": 2.0}}, "a_pen"),
         ([1, 2], "document"),
         ({"device": {"energy_curve": [[1]]}}, "energy_curve point [1]"),
@@ -296,7 +294,7 @@ def test_cli_input_errors(tmp_path, capsys, monkeypatch):
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",
-        "string-k", "unknown-solver-key", "bad-penalties", "list-document",
+        "string-k", "unknown-solver-key", "removed-control-f", "bad-penalties", "list-document",
         "one-number-curve-point", "three-number-curve-point",
         "nan-v-read", "inf-miss-spread", "nan-curve-point", "nan-t0", "negative-t0",
         "huge-int-v-read", "inf-a-pen", "huge-int-curve-point",
@@ -335,13 +333,34 @@ def test_cli_bench_and_kernels_byte_identical(tmp_path, capsys):
     assert k1.read_bytes() == k2.read_bytes()
 
 
-def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ISING_RERAM_SEED", "4")
-    assert main(["gen", "--vars", "5", "--clauses", "2"]) == 0
-    env_out = capsys.readouterr().out
-    assert main(["gen", "--vars", "5", "--clauses", "2", "--seed", "4"]) == 0
-    flag_out = capsys.readouterr().out
-    assert env_out == flag_out
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "{cnf}", "--report", "{out}"],
+        ["bench", "--runs", "2", "--iters", "3", "--csv", "{out}"],
+        ["kernels", "--trials", "3", "--csv", "{out}"],
+    ],
+    ids=["solve", "bench", "kernels"],
+)
+def test_cli_seed_is_the_flag_else_the_config_else_zero(tmp_path, capsys, three_x, command):
+    cnf_path = tmp_path / "three_x.cnf"
+    cnf_path.write_text(emit_dimacs(three_x))
+    out = tmp_path / "out"
+
+    def output(seed_args, config_seed=None):
+        args = [arg.format(cnf=cnf_path, out=out) for arg in command] + seed_args
+        if config_seed is not None:
+            config_path = tmp_path / "cfg.json"
+            config_path.write_text(json.dumps({"solver": {"seed": config_seed}}))
+            args += ["--config", str(config_path)]
+        assert main(args) in ((0, 1) if command[0] == "solve" else (0,))
+        capsys.readouterr()
+        return out.read_bytes()
+
+    assert output(["--seed", "5"]) != output(["--seed", "3"])  # the seed reaches the output
+    assert output([], config_seed=5) == output(["--seed", "5"])
+    assert output(["--seed", "3"], config_seed=5) == output(["--seed", "3"])
+    assert output([]) == output(["--seed", "0"])
 
 
 def test_console_entry_point_runs():

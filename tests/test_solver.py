@@ -198,13 +198,6 @@ def test_select_flips_ordering_and_k():
     assert select_flips(np.array([1.0, 2.0]), 0.0, cfg, g, 1.0) == []
 
 
-def test_select_flips_max_control():
-    g = graph_from_edges(3, [])
-    cfg = SolverConfig(k=1, control_f="max")
-    flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, g, -3.0)
-    assert flips == [1]
-
-
 def test_apply_flips_write_counts(three_x):
     g, adj, spins, xb = build_problem(three_x, seed=2)
     # Every 3-X node has degree 3: 3 pairs, 6 cell writes.
@@ -596,8 +589,6 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(alpha=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(control_f="median")
 
 
 def _noisy_run_checking_verify(monkeypatch, p_cell_success):
@@ -698,11 +689,10 @@ def test_flipped_column_verify_matches_whole_array_pass():
 
 
 def _select_by_sort(delta, q, config, graph):
-    """select_flips' rule with a Python sort on (signed cost, node id)."""
+    """select_flips' rule with a Python sort on (cost, node id)."""
     costs = delta.tolist()
-    sign = -1.0 if config.control_f == "max" else 1.0
     chosen = []
-    for i in sorted((i for i, c in enumerate(costs) if c < q), key=lambda i: (sign * costs[i], i)):
+    for i in sorted((i for i, c in enumerate(costs) if c < q), key=lambda i: (costs[i], i)):
         if len(chosen) < config.k and not any(j in graph.neighbor_lists[i] for j in chosen):
             chosen.append(i)
     return chosen
@@ -713,7 +703,7 @@ def test_least_cost_shortcuts_match_the_full_tests():
     rng = np.random.default_rng(9)
     taken = 0
     for t in range(400):
-        config = SolverConfig(k=int(rng.integers(1, 4)), control_f=("min", "max")[t % 2])
+        config = SolverConfig(k=int(rng.integers(1, 4)))
         delta = rng.normal(0.5, 1.0, g.num_nodes).round(1)
         if t % 3:  # no improving move, and with +2 mostly no cost below q either
             delta = np.abs(delta) + 2.0 * (t % 3 - 1)

@@ -7,10 +7,11 @@ inference energies.  On the random workloads the digest is that of the
 report JSON; on paper-suite it covers the suite CSV and then every solve's
 report.  Under ``commands`` the map also holds the sha256 and exit code of
 fixed command-line runs (``gen``, an m=40 ``solve --report`` on a 120x240
-array, a ``solve --report`` of the 3-X instance that ends SAT, ``bench --csv``
-and ``kernels --csv``) and of each demo's stdout, run in subprocesses on the
-checkout's ``src/``.  A change is byte-identical when
-two checkouts print the same map:
+array, the same solve with its seed taken only from the config's
+``solver.seed``, a ``solve --report`` of the 3-X instance that ends SAT,
+``bench --csv`` and ``kernels --csv``) and of each demo's stdout, run in
+subprocesses on the checkout's ``src/``.  A change is byte-identical when two
+checkouts print the same map:
 
     python3 tools/byte_identity.py > change.json
     python3 tools/byte_identity.py --root ../parent > parent.json
@@ -39,6 +40,7 @@ SOLVE_CONFIG = {
     "device": {"rows": 120, "cols": 240},
     "solver": {"k": 2, "a_pen": 3.0, "b_pen": 1.5, "restarts": 2, "max_iters": 50},
 }
+SEEDED_CONFIG = {**SOLVE_CONFIG, "solver": {**SOLVE_CONFIG["solver"], "seed": 4}}
 # Ends SAT under the default config, so its report carries an assignment,
 # sat_restart and sat_iteration.
 THREE_X = "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
@@ -47,11 +49,14 @@ CLI_RUNS = (
     ("gen", ["gen", "--vars", "13", "--clauses", "40", "--seed", "5"], None),
     ("solve", ["solve", "gen.out", "--seed", "3", "--config", "cfg.json", "--report", "m40.json"],
      "m40.json"),
+    ("solve-config-seed", ["solve", "gen.out", "--config", "cfg-seed.json", "--report", "m40-seed.json"],
+     "m40-seed.json"),
     ("solve-sat", ["solve", "3x.cnf", "--seed", "1", "--report", "sat.json"], "sat.json"),
     ("bench", ["bench", "--runs", "3", "--iters", "5", "--seed", "9", "--csv", "bench.csv"],
      "bench.csv"),
     ("kernels", ["kernels", "--trials", "4", "--seed", "2", "--csv", "kernels.csv"], "kernels.csv"),
 )
+MAY_END_UNKNOWN = ("solve", "solve-config-seed")  # the m=40 solves: exit 1 is Unknown
 
 
 def load_workloads(root: Path):
@@ -95,8 +100,8 @@ def command_digests(root: Path) -> tuple[dict, int]:
     """Digests of the CLI runs and the demos' stdout, and the count of bad exits.
 
     Each runs in a subprocess with ``sys.executable`` and ``root/src`` on its
-    path, in a scratch directory holding the m=40 solve's config and the 3-X
-    instance.  ``solve`` exits 1 on an Unknown verdict; everything else,
+    path, in a scratch directory holding the m=40 solves' configs and the 3-X
+    instance.  The m=40 solves exit 1 on an Unknown verdict; everything else,
     ``solve-sat`` included, must exit 0.
     """
     env = {**os.environ, "PYTHONPATH": str((root / "src").resolve())}
@@ -106,13 +111,14 @@ def command_digests(root: Path) -> tuple[dict, int]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "cfg.json").write_text(json.dumps(SOLVE_CONFIG))
+        (work / "cfg-seed.json").write_text(json.dumps(SEEDED_CONFIG))
         (work / "3x.cnf").write_text(THREE_X)
         for key, args, written in runs:
             done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True)
             (work / f"{key}.out").write_bytes(done.stdout)
             target = work / (written or f"{key}.out")
             data = target.read_bytes() if target.exists() else b""  # a failed run wrote nothing
-            errors += done.returncode not in ((0, 1) if key == "solve" else (0,))
+            errors += done.returncode not in ((0, 1) if key in MAY_END_UNKNOWN else (0,))
             out[key] = {"sha256": hashlib.sha256(data).hexdigest(), "exit": done.returncode}
     return out, errors
 
