@@ -79,3 +79,12 @@ parsed = json.loads(report_to_json(report))
 for key, value in parsed.items():
     if not isinstance(value, (dict, list)):
         print(f"  {key}: {json.dumps(value)}")
+print("\ntrace field names, written once per report:")
+print(f"  {json.dumps(parsed['trace_fields'])}")
+print("each trace entry is one array of those values; the first, as written:")
+row = parsed["traces"][0][0]
+print(f"  {json.dumps(row)}")
+print("and decoded with dict(zip(trace_fields, row)):")
+first = dict(zip(parsed["trace_fields"], row))
+for key, value in first.items():
+    print(f"  {key}: {json.dumps(value)}")

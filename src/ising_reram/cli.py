@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 from .bench import (
@@ -20,14 +20,32 @@ from .device import DeviceConfig, DeviceConfigError
 from .solver import SolverConfig, load_config_document, report_to_json, run
 
 
-def _load_configs(path: Optional[str], seed: Optional[int]) -> tuple[DeviceConfig, SolverConfig]:
+# Solver keys a command never reads: bench runs the paper protocol, which sets
+# these itself, and kernels reads only the seed.
+_UNUSED_SOLVER_KEYS = {
+    "solve": (),
+    "bench": ("restarts", "max_iters", "profile_iterations"),
+    "kernels": tuple(f.name for f in fields(SolverConfig) if f.name != "seed"),
+}
+
+
+def _load_configs(
+    command: str, path: Optional[str], seed: Optional[int]
+) -> tuple[DeviceConfig, SolverConfig]:
     """A command's settings: the ``--config`` document, or the defaults without
-    one, with ``--seed``, when given, over its ``solver.seed``."""
+    one, with ``--seed``, when given, over its ``solver.seed``.  A document
+    that sets a solver key the command does not read raises ValueError."""
     if path is None:
         device, solver = DeviceConfig(), SolverConfig()
     else:
         with open(path, "r", encoding="utf-8") as handle:
-            device, solver = load_config_document(json.load(handle))
+            doc = json.load(handle)
+        device, solver = load_config_document(doc)
+        unused = sorted(set(doc.get("solver", {})) & set(_UNUSED_SOLVER_KEYS[command]))
+        if unused:
+            raise ValueError(
+                f"{command} does not read solver keys {unused}; remove them from the config"
+            )
     if seed is not None:
         solver = replace(solver, seed=seed)
     return device, solver
@@ -81,18 +99,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "solve":
             with open(args.cnf_file, "r", encoding="utf-8") as handle:
                 cnf = parse_dimacs(handle.read())
-            device_cfg, solver_cfg = _load_configs(args.config, args.seed)
+            device_cfg, solver_cfg = _load_configs(args.command, args.config, args.seed)
             report = run(cnf, device_cfg, solver_cfg)
             _write_text(args.report, report_to_json(report))
             return 0 if report.verdict == "SAT" else 1
         if args.command == "bench":
-            device_cfg, solver_cfg = _load_configs(args.config, args.seed)
+            device_cfg, solver_cfg = _load_configs(args.command, args.config, args.seed)
             suite = paper_suite(runs=args.runs, iters=args.iters)
             rows = run_suite(suite, device_cfg, solver_cfg, seed=solver_cfg.seed)
             _write_text(args.csv, suite_report_csv(rows))
             return 0
         if args.command == "kernels":
-            device_cfg, solver_cfg = _load_configs(args.config, args.seed)
+            device_cfg, solver_cfg = _load_configs(args.command, args.config, args.seed)
             rows = kernel_energy_report(device_cfg, trials=args.trials, seed=solver_cfg.seed)
             _write_text(args.csv, kernel_report_csv(rows))
             return 0

@@ -23,7 +23,8 @@ random threshold q = -T * ln(u).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,6 +103,11 @@ class IterationTrace:
     inference_energy_nj: float
 
 
+# The JSON trace header: written once per report, not once per entry.
+_TRACE_FIELDS = tuple(f.name for f in fields(IterationTrace) if f.name != "delta")
+_trace_row = attrgetter(*_TRACE_FIELDS)
+
+
 @dataclass
 class RunReport:
     verdict: str                            # "SAT" or "Unknown"
@@ -116,15 +122,15 @@ class RunReport:
     sat_iteration: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        """The report's content as JSON values: every field, with each trace
-        entry holding its ``IterationTrace`` fields except ``delta`` (one cost
-        per node per iteration would be most of a report's bytes)."""
+        """The report's content as JSON values: every field, with the trace
+        field names once under ``trace_fields`` and each trace entry an array
+        of those fields' values in that order.  The names are the
+        ``IterationTrace`` fields except ``delta`` (one cost per node per
+        iteration would be most of a report's bytes); a reader gets entry
+        ``row`` back as ``dict(zip(trace_fields, row))``."""
         out = field_dict(self)
-        # Copies: deleting from vars() itself would drop the field from the trace.
-        out["traces"] = [[vars(tr).copy() for tr in restart] for restart in self.traces]
-        for restart in out["traces"]:
-            for entry in restart:
-                del entry["delta"]
+        out["trace_fields"] = _TRACE_FIELDS
+        out["traces"] = [[_trace_row(tr) for tr in restart] for restart in self.traces]
         return out
 
 

@@ -312,6 +312,29 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc, named):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "command, solver, named",
+    [
+        (["kernels", "--trials", "3"], {"k": 3, "restarts": 7}, "['k', 'restarts']"),
+        (["bench", "--runs", "2", "--iters", "3"], {"max_iters": 2, "restarts": 7},
+         "['max_iters', 'restarts']"),
+        (["bench", "--runs", "2", "--iters", "3"], {"k": 2, "profile_iterations": False},
+         "['profile_iterations']"),
+    ],
+    ids=["kernels-k-restarts", "bench-max-iters-restarts", "bench-profile-iterations"],
+)
+def test_cli_rejects_solver_keys_the_command_does_not_read(tmp_path, capsys, command, solver, named):
+    """bench sets restarts, max_iters and profile_iterations itself and kernels
+    reads only the seed, so a config setting any other key would change nothing."""
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"solver": solver}))
+    out = tmp_path / "out.csv"
+    assert main(command + ["--config", str(config_path), "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command[0]} ") and named in err
+    assert not out.exists()
+
+
 def test_cli_bench_and_kernels_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
