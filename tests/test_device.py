@@ -171,8 +171,24 @@ def _raised(call):
     return type(info.value), str(info.value)
 
 
-def test_program_batch_equals_cell_by_cell_writes():
-    cfg = DeviceConfig()  # default noisy device: failed writes, energy noise
+# Device settings that each take their own branch of the per-pulse kernel.
+DEVICE_VARIANTS = pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"p_cell_success": 0.5},
+        {"shortcut_writes": False},
+        {"energy_noise_sigma": 0.0},
+        {"energy_noise_sigma": 0.7},
+        {"g_state0": 15, "g_state1": 80, "tolerance": 7.5},
+    ],
+    ids=["default", "p0.5", "no-shortcut", "no-noise", "noise-0.7", "window-15-80"],
+)
+
+
+@DEVICE_VARIANTS
+def test_program_batch_equals_cell_by_cell_writes(overrides):
+    cfg = DeviceConfig(**overrides)  # every variant has failed writes
     rng = np.random.default_rng(4)
     batch, single = new_crossbar(cfg, seed=7), new_crossbar(cfg, seed=7)
     for xb in (batch, single):  # some cells already high, one in the dead zone
@@ -197,6 +213,19 @@ def test_program_batch_equals_cell_by_cell_writes():
         assert batch.ledger._totals == single.ledger._totals
         assert batch.rng.bit_generator.state == single.rng.bit_generator.state
     assert batch.program([], "init") == (0, 0)
+
+
+def test_program_batch_from_a_generator_equals_the_list():
+    cfg = DeviceConfig()
+    cells = [(r, c, CellState((r + c) % 2)) for r in range(cfg.rows) for c in range(cfg.cols)]
+    listed, generated = new_crossbar(cfg, seed=9), new_crossbar(cfg, seed=9)
+    counts = listed.program(cells, "init")
+    assert generated.program((cell for cell in cells), "init") == counts
+    assert counts[0] == len(cells)
+    assert np.array_equal(listed.conductance, generated.conductance)
+    assert np.array_equal(listed.state, generated.state)
+    assert listed.ledger._totals == generated.ledger._totals
+    assert listed.rng.bit_generator.state == generated.rng.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -381,18 +410,7 @@ def _reference_program_cell(xb, row, col, target, kind):
     return WriteOutcome(final, lo <= final <= hi, energy)
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {"p_cell_success": 0.5},
-        {"shortcut_writes": False},
-        {"energy_noise_sigma": 0.0},
-        {"energy_noise_sigma": 0.7},
-        {"g_state0": 15, "g_state1": 80, "tolerance": 7.5},
-    ],
-    ids=["default", "p0.5", "no-shortcut", "no-noise", "noise-0.7", "window-15-80"],
-)
+@DEVICE_VARIANTS
 def test_program_cell_equals_numpy_distribution_calls_bit_for_bit(overrides):
     cfg = DeviceConfig(rows=6, cols=6, **overrides)
     xb, ref = new_crossbar(cfg, seed=11), new_crossbar(cfg, seed=11)
