@@ -17,7 +17,6 @@ from .cnf import (
 from .ising import (
     HamiltonianParams,
     IsingGraph,
-    IsingNode,
     KernelProfile,
     adjacency_matrix,
     build_graph,

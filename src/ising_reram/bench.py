@@ -218,7 +218,7 @@ def sublinearity_check(
     )
     core_flip = means[("core", "program-iteration")]
     for node in flip_events:
-        conflict_degree = graph.degree(node) - 2  # 2 triangle neighbors
+        conflict_degree = len(graph.neighbor_lists[node]) - 2  # 2 triangle neighbors
         prediction += core_flip + conflict_degree * inconn_flip
     return measured, float(prediction)
 

@@ -118,7 +118,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cnf = random_3sat(args.num_vars, args.num_clauses, args.seed)
             sys.stdout.write(emit_dimacs(cnf))
             return 0
-    except (CnfError, DeviceConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (
+        CnfError, DeviceConfigError, ValueError, OverflowError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -142,8 +142,8 @@ class DeviceConfig:
         es = [e for _, e in curve]
         if any(b <= a for a, b in zip(gs, gs[1:])) or any(b <= a for a, b in zip(es, es[1:])):
             raise DeviceConfigError("energy_curve must be strictly increasing")
-        if gs[0] > 0.0 or gs[-1] < self.g_state1 + self.tolerance:
-            raise DeviceConfigError("energy_curve must span the operating range")
+        if gs[0] != 0.0 or gs[-1] < self.g_state1 + self.tolerance:
+            raise DeviceConfigError("energy_curve must start at 0 uS and span the operating range")
         object.__setattr__(self, "energy_curve", tuple(curve))
 
     @cached_property
@@ -155,22 +155,10 @@ class DeviceConfig:
         return gs, es, slopes
 
     def stored_energy_nj(self, conductance: float) -> float:
-        """Piecewise-linear stored energy at a conductance (uS -> nJ).
-
-        Bit for bit what ``np.interp`` returns, without its per-call overhead:
-        the end values outside the curve, the anchor value on an anchor, and
-        otherwise slope * (x - g_j) + e_j with the slope taken as numpy takes
-        it.  A non-finite conductance goes to ``np.interp`` itself.
-        """
-        gs, es, slopes = self._curve_segments
-        if not math.isfinite(conductance):
-            return float(np.interp(conductance, gs, es))
-        j = bisect_right(gs, conductance) - 1
-        if j < 0:
-            return es[0]
-        if j >= len(slopes) or gs[j] == conductance:
-            return es[j]
-        return slopes[j] * (conductance - gs[j]) + es[j]
+        """Piecewise-linear stored energy at a conductance (uS -> nJ), held at
+        the end values outside the curve."""
+        gs, es, _ = self._curve_segments
+        return float(np.interp(conductance, gs, es))
 
     @cached_property
     def _pulse(self) -> tuple:
@@ -234,8 +222,8 @@ class EnergyLedger:
         self._totals = {"init": 0.0, "program": 0.0, "inference": 0.0}
 
     def record(self, kind: str, energy_nj: float) -> None:
-        if not energy_nj >= 0:  # also rejects NaN
-            raise ValueError(f"ledger entries must be non-negative, got {energy_nj!r}")
+        if not 0 <= energy_nj < math.inf:  # also rejects NaN
+            raise ValueError(f"ledger entries must be finite and non-negative, got {energy_nj!r}")
         try:
             self._totals[kind] += energy_nj
         except KeyError:
@@ -423,8 +411,8 @@ class Crossbar:
         """Force a cell's conductance directly, at no energy and with no ledger entry."""
         self._check_coords(row, col)
         g = float(conductance)
-        if not math.isfinite(g):
-            raise ValueError(f"fault conductance must be finite, got {g!r}")
+        if not 0 <= g < math.inf:
+            raise ValueError(f"fault conductance must be finite and non-negative, got {g!r}")
         self.conductance[row, col] = g
         self.state[row, col] = self.config.classify_value(g)
 

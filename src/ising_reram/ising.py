@@ -18,6 +18,7 @@ is satisfiable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -31,31 +32,24 @@ MAX_EXHAUSTIVE_NODES = 24
 
 
 @dataclass(frozen=True)
-class IsingNode:
-    """One literal occurrence: node id, clause provenance, and the literal."""
-
-    id: int
-    clause_index: int
-    position_in_clause: int
-    literal: Literal
-
-
-@dataclass(frozen=True)
 class IsingGraph:
-    """Nodes in clause-major order plus an undirected edge set (u < v pairs)."""
+    """The literal of every node plus an undirected edge set (u < v pairs).
 
-    nodes: tuple[IsingNode, ...]
+    Nodes are numbered clause-major: node i is literal i % 3 of clause i // 3.
+    """
+
+    literals: tuple[Literal, ...]
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        n = len(self.nodes)
+        n = len(self.literals)
         for u, v in self.edges:
             if not (0 <= u < v < n):
                 raise CnfError(f"bad edge ({u}, {v}) for {n} nodes")
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.literals)
 
     @property
     def num_edges(self) -> int:
@@ -70,13 +64,6 @@ class IsingGraph:
         return tuple(tuple(sorted(nb)) for nb in adj)
 
     @cached_property
-    def node_clauses(self) -> np.ndarray:
-        """Clause index of each node, read-only like the graph."""
-        clauses = np.array([node.clause_index for node in self.nodes], dtype=np.int64)
-        clauses.flags.writeable = False
-        return clauses
-
-    @cached_property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (u, v) of every edge, in the edge set's order, as two
         read-only index arrays."""
@@ -85,9 +72,6 @@ class IsingGraph:
         )
         flat.flags.writeable = False
         return flat[0::2], flat[1::2]
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbor_lists[node])
 
 
 @dataclass
@@ -114,25 +98,22 @@ class HamiltonianParams:
 
 def build_graph(cnf: Cnf) -> IsingGraph:
     """Build the reduction graph: 3m nodes, clause triangles, conflict edges."""
-    nodes = []
-    for c_idx, clause in enumerate(cnf.clauses):
-        for pos, lit in enumerate(clause.literals):
-            nodes.append(IsingNode(3 * c_idx + pos, c_idx, pos, lit))
+    literals = tuple(chain.from_iterable(clause.literals for clause in cnf.clauses))
     edges: set[tuple[int, int]] = set()
-    for c_idx in range(cnf.num_clauses):
-        base = 3 * c_idx
+    for base in range(0, len(literals), 3):
         edges.update({(base, base + 1), (base, base + 2), (base + 1, base + 2)})
-    # Conflict edges: each occurrence of a literal with each occurrence of its
-    # negation in a later clause (node ids grow with the clause index).
-    occurrences: dict[int, list[IsingNode]] = {}
-    for node in nodes:
-        occurrences.setdefault(node.literal.to_int(), []).append(node)
+    # Conflict edges: each occurrence of a literal with each later occurrence
+    # of its negation (a clause never holds a variable twice, so a later node
+    # is in a later clause).
+    occurrences: dict[int, list[int]] = {}
+    for i, lit in enumerate(literals):
+        occurrences.setdefault(lit.to_int(), []).append(i)
     for lit, group in occurrences.items():
         for a in group:
             for b in occurrences.get(-lit, ()):
-                if a.clause_index < b.clause_index:
-                    edges.add((a.id, b.id))
-    return IsingGraph(tuple(nodes), frozenset(edges))
+                if a < b:
+                    edges.add((a, b))
+    return IsingGraph(literals, frozenset(edges))
 
 
 def adjacency_matrix(graph: IsingGraph) -> np.ndarray:
@@ -153,12 +134,7 @@ def kernel_decompose(graph: IsingGraph) -> KernelProfile:
     if graph.num_nodes % 3 != 0:
         raise CnfError("kernel decomposition needs a clause-major reduction graph")
     m = graph.num_nodes // 3
-    pair_counts: dict[tuple[int, int], int] = {}
-    for u, v in graph.edges:
-        cu, cv = graph.nodes[u].clause_index, graph.nodes[v].clause_index
-        if cu != cv:
-            key = (min(cu, cv), max(cu, cv))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
+    pair_counts = Counter((u // 3, v // 3) for u, v in graph.edges if u // 3 != v // 3)
     profile = KernelProfile(core_count=m)
     for pair, count in sorted(pair_counts.items()):
         if count > 3:
@@ -227,10 +203,7 @@ def exhaustive_ground_state(
     for start in range(0, total, chunk):
         ks = np.arange(start, min(start + chunk, total), dtype=np.int64)
         x = ((ks[:, None] >> shifts) & 1).astype(np.int64)
-        if edge_u.size:
-            edge_sum = (x[:, edge_u] * x[:, edge_v]).sum(axis=1)
-        else:
-            edge_sum = np.zeros(len(ks), dtype=np.int64)
+        edge_sum = (x[:, edge_u] * x[:, edge_v]).sum(axis=1)
         energy = params.a_pen * edge_sum - params.b_pen * x.sum(axis=1)
         i = int(np.argmin(energy))
         if energy[i] < best_energy:
@@ -251,15 +224,16 @@ def decode_solution(
     verification, so a false SAT can never escape this function.
     """
     up = _check_spins(graph, spins) == 1
-    per_clause = np.bincount(graph.node_clauses[up], minlength=cnf.num_clauses)
+    chosen = np.flatnonzero(up)
+    per_clause = np.bincount(chosen // 3, minlength=cnf.num_clauses)
     if (per_clause != 1).any():
         return None
     u, v = graph.edge_ends
     if (up[u] & up[v]).any():
         return None
     values = [False] * cnf.num_vars
-    for i in np.flatnonzero(up).tolist():
-        lit = graph.nodes[i].literal
+    for i in chosen.tolist():
+        lit = graph.literals[i]
         values[lit.variable - 1] = not lit.negated
     assignment = Assignment(tuple(values))
     return assignment if verify_assignment(cnf, assignment) else None

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ising_reram import Clause, Cnf, IsingGraph, IsingNode, Literal, ideal_config
+from ising_reram import Clause, Cnf, IsingGraph, Literal, ideal_config
 
 
 @pytest.fixture
@@ -36,8 +36,6 @@ def graph_from_edges(num_nodes: int, edges) -> IsingGraph:
 
     Not a Cnf reduction; kernel decomposition and decoding are undefined on it.
     """
-    nodes = tuple(
-        IsingNode(i, i // 3, i % 3, Literal(i + 1)) for i in range(num_nodes)
-    )
+    literals = tuple(Literal(i + 1) for i in range(num_nodes))
     normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    return IsingGraph(nodes, normalized)
+    return IsingGraph(literals, normalized)

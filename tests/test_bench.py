@@ -291,6 +291,9 @@ def test_cli_input_errors(tmp_path, capsys):
         ({"device": {"energy_curve": [[0, 0], [50, 10**400], [100, 5]]}}, "DeviceConfig.energy_curve"),
         ({"rows": 4, "cols": 4}, "['cols', 'rows']"),
         ({"solvr": {"k": 2}}, "['solvr']"),
+        ({"device": {"energy_curve": [[-10, 0], [0, 0.1], [100, 5]]}}, "start at 0 uS"),
+        ({"device": {"v_read": 1e100, "t_read": 1e200}}, "non-negative, got inf"),
+        ({"device": {"v_read": 1e160}}, "out of range"),
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",
@@ -299,6 +302,7 @@ def test_cli_input_errors(tmp_path, capsys):
         "nan-v-read", "inf-miss-spread", "nan-curve-point", "nan-t0", "negative-t0",
         "huge-int-v-read", "inf-a-pen", "huge-int-curve-point",
         "top-level-device-keys", "misspelled-solver-section",
+        "curve-below-zero", "infinite-read-energy", "overflowing-v-read",
     ],
 )
 def test_cli_rejects_malformed_config(tmp_path, capsys, three_x, doc, named):

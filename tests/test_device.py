@@ -79,6 +79,8 @@ def test_curve_validation():
         DeviceConfig(energy_curve=((0.0, 0.0), (50.0, 1.0), (40.0, 2.0)))
     with pytest.raises(DeviceConfigError):
         DeviceConfig(energy_curve=((0.0, 0.0), (100.0, 0.0)))
+    with pytest.raises(DeviceConfigError, match="start at 0 uS"):
+        DeviceConfig(energy_curve=((-10.0, 0.0), (0.0, 0.1), (100.0, 5.0)))
 
 
 def test_program_cell_skip_is_free():
@@ -352,7 +354,7 @@ def test_inject_fault_and_classify():
         xb.inject_fault(99, 0, 20.0)
 
 
-@pytest.mark.parametrize("g", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("g", [float("nan"), float("inf"), -float("inf"), -1e4])
 def test_inject_fault_rejects_non_finite_conductance(g):
     xb = new_crossbar(DeviceConfig(), seed=1)
     with pytest.raises(ValueError, match="finite"):
@@ -370,6 +372,8 @@ def test_ledger_rejects_nan_and_unknown_kinds():
         ledger.record("program", float("nan"))
     with pytest.raises(ValueError, match="non-negative"):
         ledger.record("init", -1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        ledger.record("inference", float("inf"))
     with pytest.raises(ValueError, match="unknown ledger kind"):
         ledger.record("erase", 1.0)
     assert ledger.program_energy_nj == 1.5
@@ -377,7 +381,8 @@ def test_ledger_rejects_nan_and_unknown_kinds():
 
 
 def _reference_program_cell(xb, row, col, target, kind):
-    """A write made with numpy's own triangular, normal and lognormal calls.
+    """A write made with numpy's own triangular, normal and lognormal calls,
+    and its energy with ``np.interp`` (``stored_energy_nj``).
 
     This is the write model as first written, kept as the oracle for the
     per-pulse kernel in ``Crossbar.program_cell``: it must make the same

@@ -47,10 +47,9 @@ def test_build_graph_one_x_same_polarity_shared_var_has_no_edge():
 def test_nodes_are_clause_major():
     cnf = paper_instances()["3-X"]
     g = build_graph(cnf)
-    for node in g.nodes:
-        assert node.id == 3 * node.clause_index + node.position_in_clause
-        lit = cnf.clauses[node.clause_index].literals[node.position_in_clause]
-        assert node.literal == lit
+    assert g.num_nodes == 3 * cnf.num_clauses
+    for i in range(g.num_nodes):
+        assert g.literals[i] == cnf.clauses[i // 3].literals[i % 3]
 
 
 def test_edge_count_identity():
@@ -227,7 +226,7 @@ def _decode_by_walk(graph, spins, cnf):
     selected = [i for i, s in enumerate(spins.tolist()) if s == 1]
     per_clause = [0] * cnf.num_clauses
     for i in selected:
-        per_clause[graph.nodes[i].clause_index] += 1
+        per_clause[i // 3] += 1
     if any(count != 1 for count in per_clause):
         return None
     chosen = set(selected)
@@ -235,7 +234,7 @@ def _decode_by_walk(graph, spins, cnf):
         return None
     values = [False] * cnf.num_vars
     for i in selected:
-        lit = graph.nodes[i].literal
+        lit = graph.literals[i]
         values[lit.variable - 1] = not lit.negated
     assignment = Assignment(tuple(values))
     return assignment if verify_assignment(cnf, assignment) else None
@@ -263,7 +262,7 @@ def test_decode_matches_node_and_edge_walk():
         for spins in states:
             expected = _decode_by_walk(g, spins, cnf)
             assert decode_solution(g, spins, cnf) == expected
-            one_each = sorted(g.nodes[i].clause_index for i in np.flatnonzero(spins == 1)) == [*range(m)]
+            one_each = sorted(i // 3 for i in np.flatnonzero(spins == 1)) == [*range(m)]
             kinds["uniform"] += not one_each
             kinds["one per clause, conflict"] += one_each and expected is None
             kinds["satisfying"] += expected is not None
