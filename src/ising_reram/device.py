@@ -144,6 +144,13 @@ class DeviceConfig:
             raise DeviceConfigError("energy_curve must be strictly increasing")
         if gs[0] != 0.0 or gs[-1] < self.g_state1 + self.tolerance:
             raise DeviceConfigError("energy_curve must start at 0 uS and span the operating range")
+        try:  # a read of every cell at the curve's end, multiplied in read_columns' order
+            read_nj = self.v_read ** 2 * (gs[-1] * self.rows * self.cols) * self.t_read * 1e3
+        except OverflowError:
+            read_nj = math.inf
+        if not read_nj < math.inf:
+            raise DeviceConfigError(f"v_read ** 2 * t_read overflows the read energy "
+                                    f"(v_read {self.v_read!r}, t_read {self.t_read!r})")
         object.__setattr__(self, "energy_curve", tuple(curve))
 
     @cached_property

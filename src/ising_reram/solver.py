@@ -3,6 +3,8 @@
 The crossbar stores the spin-signed adjacency matrix in differential column
 pairs: entry (i, j) is written as sign s_j when nodes i and j are adjacent.
 Node j sits on row j and on column pair (2j, 2j+1), negative cell first.
+``map_problem`` programs a blank array (every cell STATE0), so its init
+pulses one high cell per adjacency entry, two per edge.
 Each iteration reads the column currents under a row drive equal to the
 current spins, recovers the quadratic part of the per-node flip costs, applies
 the linear degree/reward bias digitally (the summer, threshold, q, and spin
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -145,17 +148,26 @@ def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> None:
-    """Program the spin-signed adjacency matrix into the array (kind "init").
+    """Program the spin-signed adjacency matrix into a blank array (kind "init").
 
-    Column j carries adj(i, j) * s_j in its differential pair; zero entries
-    stay untouched.  Raises MappingError when the problem needs more rows or
-    columns than the device offers.
+    Column j carries adj(i, j) * s_j in its differential pair.  A blank array
+    already holds every STATE0 target, so each nonzero adj(i, j) pulses only
+    its high cell, (i, 2j + 1) when s_j > 0 and (i, 2j) otherwise, pairs in
+    node order with rows ascending: the pulses, draws and ledger entries of
+    writing both cells of each pair.  Raises MappingError when the problem
+    needs more rows or columns than the device offers, and ValueError, before
+    any write, unless every cell of ``xb`` senses STATE0.
     """
     n = adj.shape[0]
     if adj.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
     check_fits(n, xb.config)
-    _program_columns(xb, adj, spins, range(n), "init")
+    if xb.state.any():  # STATE0 is 0
+        raise ValueError("map_problem programs a blank array: every cell must sense STATE0")
+    # adj is symmetric, so row j lists column j's rows in ascending order.
+    nodes, rows = np.nonzero(adj)
+    cols = 2 * nodes + (np.asarray(spins)[nodes] > 0)
+    xb.program(zip(rows.tolist(), cols.tolist(), repeat(1)), "init")  # 1 is STATE1
 
 
 def check_fits(n: int, config: DeviceConfig) -> None:
@@ -166,25 +178,6 @@ def check_fits(n: int, config: DeviceConfig) -> None:
             f"{config.rows}x{config.cols} (multi-tile operation unsupported); "
             f'set {{"device": {{"rows": {n}, "cols": {2 * n}}}}} in the --config file'
         )
-
-
-def _program_columns(
-    xb: Crossbar, adj: np.ndarray, spins: Sequence[int], nodes: Sequence[int], kind: str
-) -> tuple[int, int]:
-    """Write the pairs of the columns of ``nodes`` in order, rows ascending.
-
-    Each pair is written positive cell first, in one ``Crossbar.program``
-    batch.  The write order fixes which device draws each cell gets.  Returns
-    (cells targeted, cells that landed in their window).
-    """
-    signs = np.asarray(spins, dtype=np.int64).tolist()
-    cols, rows = np.nonzero(adj[:, nodes].T)
-    cells = []
-    for c, i in zip(cols.tolist(), rows.tolist()):
-        j = nodes[c]
-        # STATE1 is 1 and STATE0 is 0, so "holds a high cell" is the target.
-        cells += (i, 2 * j + 1, signs[j] > 0), (i, 2 * j, signs[j] < 0)
-    return xb.program(cells, kind)
 
 
 def compute_delta(
@@ -264,13 +257,23 @@ def apply_flips(
     """Flip spins in place and reprogram the flipped nodes' column pairs.
 
     Only rows adjacent to a flipped node are rewritten (kind "program"), two
-    cells per pair.  Returns (cells targeted, cells that landed in their window).
+    cells per pair, positive cell first, pairs in node order with rows
+    ascending: that order fixes which device draws each cell gets.  Returns
+    (cells targeted, cells that landed in their window).
     """
     if not flips:
         return 0, 0
     for j in flips:
         spins[j] = -spins[j]
-    return _program_columns(xb, adj, spins, sorted(flips), "program")
+    nodes = sorted(flips)
+    up = (spins[nodes] > 0).tolist()
+    cells = []
+    # adj is symmetric, so row j of adj is column j.  STATE1 is 1 and STATE0
+    # is 0, so "holds a high cell" is the target.
+    ks, rows = np.nonzero(adj[nodes])
+    for k, i in zip(ks.tolist(), rows.tolist()):
+        cells += (i, 2 * nodes[k] + 1, up[k]), (i, 2 * nodes[k], not up[k])
+    return xb.program(cells, "program")
 
 
 def _columns_hold_pattern(

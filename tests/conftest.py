@@ -7,6 +7,21 @@ import pytest
 from ising_reram import Clause, Cnf, IsingGraph, Literal, ideal_config
 
 
+# Device settings that each take their own branch of the per-pulse kernel.
+DEVICE_VARIANTS = pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"p_cell_success": 0.5},
+        {"shortcut_writes": False},
+        {"energy_noise_sigma": 0.0},
+        {"energy_noise_sigma": 0.7},
+        {"g_state0": 15, "g_state1": 80, "tolerance": 7.5},
+    ],
+    ids=["default", "p0.5", "no-shortcut", "no-noise", "noise-0.7", "window-15-80"],
+)
+
+
 @pytest.fixture
 def three_x() -> Cnf:
     return Cnf(3, (Clause.of(1, 2, 3), Clause.of(-1, -2, -3)))

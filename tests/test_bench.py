@@ -292,8 +292,8 @@ def test_cli_input_errors(tmp_path, capsys):
         ({"rows": 4, "cols": 4}, "['cols', 'rows']"),
         ({"solvr": {"k": 2}}, "['solvr']"),
         ({"device": {"energy_curve": [[-10, 0], [0, 0.1], [100, 5]]}}, "start at 0 uS"),
-        ({"device": {"v_read": 1e100, "t_read": 1e200}}, "non-negative, got inf"),
-        ({"device": {"v_read": 1e160}}, "out of range"),
+        ({"device": {"v_read": 1e100, "t_read": 1e200}}, "v_read ** 2 * t_read overflows"),
+        ({"device": {"v_read": 1e160}}, "v_read ** 2 * t_read overflows"),
     ],
     ids=[
         "float-rows", "scalar-curve", "int-for-bool", "list-section",

@@ -12,7 +12,7 @@ from ising_reram import (
     WriteOutcome,
     new_crossbar,
 )
-from conftest import exact_device
+from conftest import DEVICE_VARIANTS, exact_device
 
 
 def test_new_crossbar_defaults():
@@ -45,6 +45,31 @@ def test_config_rejects_non_finite_curve_points():
             curve = ((0.0, 0.0), point, (100.0, 11.0))
             with pytest.raises(DeviceConfigError, match=r"^DeviceConfig\.energy_curve point .* must be finite"):
                 DeviceConfig(energy_curve=curve)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"v_read": 1e160},  # v_read ** 2 alone is beyond float range
+        {"v_read": 1e100, "t_read": 1e200},
+        {"v_read": 1e152, "t_read": 1e-200},  # read_columns multiplies by t_read last
+        {"v_read": 1e150, "rows": 10**6, "cols": 10**6},
+    ],
+    ids=["v-read-squared", "v-read-and-t-read", "read-order", "array-size"],
+)
+def test_config_rejects_read_energy_beyond_float_range(overrides):
+    with pytest.raises(DeviceConfigError, match=r"^v_read \*\* 2 \* t_read overflows .*v_read"):
+        DeviceConfig(**overrides)
+
+
+def test_config_read_energy_bound_admits_a_finite_full_read():
+    cfg = DeviceConfig(v_read=1e100, t_read=1e-100)
+    xb = new_crossbar(cfg, seed=1)
+    for row in range(cfg.rows):
+        for col in range(cfg.cols):
+            xb.inject_fault(row, col, cfg.energy_curve[-1][0])  # every cell at the curve's end
+    xb.read_columns(np.ones(cfg.rows, dtype=int))
+    assert 0 < xb.ledger.inference_energy_nj < math.inf
 
 
 def test_bad_dims_rejected():
@@ -173,21 +198,6 @@ def _raised(call):
     return type(info.value), str(info.value)
 
 
-# Device settings that each take their own branch of the per-pulse kernel.
-DEVICE_VARIANTS = pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {"p_cell_success": 0.5},
-        {"shortcut_writes": False},
-        {"energy_noise_sigma": 0.0},
-        {"energy_noise_sigma": 0.7},
-        {"g_state0": 15, "g_state1": 80, "tolerance": 7.5},
-    ],
-    ids=["default", "p0.5", "no-shortcut", "no-noise", "noise-0.7", "window-15-80"],
-)
-
-
 @DEVICE_VARIANTS
 def test_program_batch_equals_cell_by_cell_writes(overrides):
     cfg = DeviceConfig(**overrides)  # every variant has failed writes
@@ -256,20 +266,27 @@ def test_program_batch_raises_what_program_cell_raises(cell, kind):
         ((0.0, 0.0), (3.3, 0.7), (17.1, 1.9), (55.5, 2.2), (81.0, 9.1), (95.0, 13.3)),
     ],
 )
-def test_stored_energy_matches_np_interp_bit_for_bit(curve):
+def test_stored_energy_is_the_clamped_piecewise_linear_curve(curve):
     cfg = DeviceConfig() if curve is None else DeviceConfig(energy_curve=curve)
-    gs = np.array([g for g, _ in cfg.energy_curve])
-    es = np.array([e for _, e in cfg.energy_curve])
-    xs = np.concatenate([
-        gs,
-        np.nextafter(gs, -np.inf),
-        np.nextafter(gs, np.inf),
-        [-1e300, -50.0, -0.0, 5e-324, 151.0, 1e300, np.inf, -np.inf, np.nan],
-        np.linspace(-20.0, gs[-1] + 20.0, 100_001),
-    ])
-    got = np.array([cfg.stored_energy_nj(float(x)) for x in xs])
-    want = np.interp(xs, gs, es)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    energy = cfg.stored_energy_nj
+    gs = [g for g, _ in cfg.energy_curve]
+    es = [e for _, e in cfg.energy_curve]
+    last = len(gs) - 1
+    for k, (g, e) in enumerate(cfg.energy_curve):
+        assert energy(g) == e  # each anchor exactly
+        # One ulp off an anchor lies on its own segments, next to its energy.
+        below, above = energy(np.nextafter(g, -np.inf)), energy(np.nextafter(g, np.inf))
+        assert es[max(k - 1, 0)] <= below <= e <= above <= es[min(k + 1, last)]
+        assert below == pytest.approx(e, rel=1e-12) and above == pytest.approx(e, rel=1e-12)
+        if k < last:  # linear between anchors
+            assert energy((g + gs[k + 1]) / 2) == pytest.approx((e + es[k + 1]) / 2, rel=1e-12)
+    # Below and above the curve, the end energies hold.
+    for x in (-np.inf, -1e300, -50.0, np.nextafter(0.0, -np.inf), -0.0):
+        assert energy(x) == es[0]
+    for x in (np.nextafter(gs[-1], np.inf), 151.0, 1e300, np.inf):
+        assert energy(x) == es[-1]
+    assert es[0] <= energy(5e-324) <= es[1]
+    assert math.isnan(energy(np.nan))
 
 
 def test_read_columns_currents_and_energy():

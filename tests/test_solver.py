@@ -36,7 +36,7 @@ from ising_reram import (
 import ising_reram.solver as solver_module
 from ising_reram.solver import _columns_hold_pattern, random_spins
 from ising_reram.util import derive_seed, substream
-from conftest import exact_device, graph_from_edges, unsat_eight_clause
+from conftest import DEVICE_VARIANTS, exact_device, graph_from_edges, unsat_eight_clause
 
 PARAMS = HamiltonianParams()
 
@@ -77,6 +77,48 @@ def test_map_problem_dimension_error():
     xb = new_crossbar(DeviceConfig(), seed=0)
     with pytest.raises(MappingError):
         map_problem(adj, np.ones(12, dtype=int), xb)
+
+
+def _two_cell_init(adj, spins, xb):
+    """Both cells of every weighted pair in one batch, column-major with rows ascending."""
+    cols, rows = np.nonzero(adj.T)
+    xb.program(
+        [cell for j, i in zip(cols.tolist(), rows.tolist())
+         for cell in ((i, 2 * j + 1, spins[j] > 0), (i, 2 * j, spins[j] < 0))],
+        "init",
+    )
+
+
+@DEVICE_VARIANTS
+@pytest.mark.parametrize("instance", ["three_x", "m40"])
+def test_map_problem_equals_two_cell_batch_on_blank_array(overrides, instance, three_x):
+    cnf = three_x if instance == "three_x" else random_3sat(13, 40, 8)
+    adj = adjacency_matrix(build_graph(cnf))
+    n = adj.shape[0]
+    cfg = DeviceConfig(**{"rows": n, "cols": 2 * n, **overrides})
+    spins = random_spins(n, np.random.default_rng(6))
+    mapped, twin = new_crossbar(cfg, seed=5), new_crossbar(cfg, seed=5)
+    map_problem(adj, spins, mapped)
+    _two_cell_init(adj, spins, twin)
+    assert mapped.ledger.init_energy_nj > 0
+    assert np.array_equal(mapped.conductance, twin.conductance)
+    assert np.array_equal(mapped.state, twin.state)
+    assert mapped.ledger._totals == twin.ledger._totals
+    assert mapped.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("fault", [70.0, 45.0], ids=["state1-cell", "dead-zone"])
+def test_map_problem_refuses_an_array_that_is_not_blank(three_x, fault):
+    adj = adjacency_matrix(build_graph(three_x))
+    xb = new_crossbar(DeviceConfig(rows=6, cols=12), seed=0)
+    xb.inject_fault(3, 7, fault)
+    rng_state, totals = xb.rng.bit_generator.state, dict(xb.ledger._totals)
+    conductance = xb.conductance.copy()
+    with pytest.raises(ValueError, match="blank array"):
+        map_problem(adj, np.ones(6, dtype=int), xb)
+    assert xb.rng.bit_generator.state == rng_state
+    assert xb.ledger._totals == totals
+    assert np.array_equal(xb.conductance, conductance)
 
 
 def test_compute_delta_matches_oracle_exactly_ideal():
@@ -238,7 +280,8 @@ def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
     program = Crossbar.program
 
     def recording_program(self, cells, kind="program"):
-        calls.append((list(cells), kind))
+        cells = list(cells)  # map_problem passes an iterator
+        calls.append((cells, kind))
         return program(self, cells, kind)
 
     monkeypatch.setattr(Crossbar, "program", recording_program)
@@ -250,9 +293,11 @@ def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
         return [(i, 2 * j + 1, spins[j] > 0), (i, 2 * j, spins[j] < 0)]
 
     map_problem(adj, spins, xb)
+    # A blank array holds every low target already: init writes each pair's high cell.
     cols, rows = np.nonzero(adj.T)
     assert calls == [
-        ([cell for j, i in zip(cols.tolist(), rows.tolist()) for cell in pair_cells(j, i)], "init")
+        ([(i, 2 * j + 1 if spins[j] > 0 else 2 * j, True)
+          for j, i in zip(cols.tolist(), rows.tolist())], "init")
     ]
     calls.clear()
     apply_flips(xb, spins, [5, 2], adj)

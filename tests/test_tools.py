@@ -1,5 +1,6 @@
 """The byte-identity tool prints one digest entry per benchmark operation and command."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -37,3 +38,33 @@ def test_byte_identity_maps_every_op_of_every_workload_and_seed():
                 assert len(entry["sha256"]) == 64 and int(entry["sha256"], 16) >= 0
                 assert math.isfinite(float(entry["exec_nj"])) and float(entry["infer_nj"]) > 0
             assert len({entry["sha256"] for entry in ops.values()}) == n_ops
+
+
+def _byte_identity_module():
+    spec = importlib.util.spec_from_file_location("byte_identity", ROOT / "tools" / "byte_identity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_against_prints_each_differing_key_with_both_values(capsys):
+    tool = _byte_identity_module()
+    mine = {"a": {"1": {"0": {"sha256": "x", "exec_nj": "1.5"}}}, "commands": {"gen": {"exit": 0}}}
+    theirs = {"a": {"1": {"0": {"sha256": "y", "exec_nj": "1.5"}}, "7": {}},
+              "commands": {"gen": {"exit": 2}, "demo.py": {"exit": 0}}}
+    assert tool.diff_maps(mine, theirs) == [
+        ("a/1/0/sha256", "x", "y"),
+        ("commands/demo.py/exit", tool.ABSENT, 0),
+        ("commands/gen/exit", 0, 2),
+    ]
+    assert tool.report_diff(mine, theirs, Path("parent")) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "a/1/0/sha256: 'x' here, 'y' in parent",
+        "commands/demo.py/exit: '(absent)' here, 0 in parent",
+        "commands/gen/exit: 0 here, 2 in parent",
+        "3 of 4 keys differ",
+    ]
+    assert tool.diff_maps(mine, json.loads(json.dumps(mine))) == []
+    assert tool.report_diff(mine, mine, Path("parent")) == 0
+    assert capsys.readouterr().out == "0 of 3 keys differ\n"

@@ -11,16 +11,17 @@ array, the same solve with its seed taken only from the config's
 ``solver.seed``, a ``solve --report`` of the 3-X instance that ends SAT,
 ``bench --csv`` and ``kernels --csv``) and of each demo's stdout, run in
 subprocesses on the checkout's ``src/``.  A change is byte-identical when two
-checkouts print the same map:
+checkouts give the same map:
 
-    python3 tools/byte_identity.py > change.json
-    python3 tools/byte_identity.py --root ../parent > parent.json
-    cmp parent.json change.json
+    python3 tools/byte_identity.py --against ../parent
 
 ``--root`` names the checkout whose ``src/``, ``perfbench/`` and ``demos/``
-are run (by default the one holding this script).  Exit code 1 when an
-operation's output fails the benchmark's own checks or a command exits with
-an unexpected code.
+are run (by default the one holding this script).  ``--against PATH``
+computes the map of the checkout at PATH too (this script run with ``--root
+PATH`` in a subprocess) and, in place of the map, prints each key whose
+values differ with both values, this checkout's first.  Exit code 1 when an
+operation's output fails the benchmark's own checks, a command exits with an
+unexpected code, or, with ``--against``, any key differs.
 """
 
 from __future__ import annotations
@@ -123,15 +124,60 @@ def command_digests(root: Path) -> tuple[dict, int]:
     return out, errors
 
 
+ABSENT = "(absent)"  # the value of a key one map lacks
+
+
+def flatten(table: dict, prefix: str = "") -> dict:
+    """The leaves of a nested map, keyed by their path joined with "/"."""
+    out = {}
+    for key, value in table.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            out.update(flatten(value, path + "/"))
+        else:
+            out[path] = value
+    return out
+
+
+def diff_maps(mine: dict, theirs: dict) -> list[tuple[str, object, object]]:
+    """(key, mine, theirs) for every leaf that differs or that one map lacks, in key order."""
+    a, b = flatten(mine), flatten(theirs)
+    return [
+        (key, a.get(key, ABSENT), b.get(key, ABSENT))
+        for key in sorted(a.keys() | b.keys())
+        if a.get(key, ABSENT) != b.get(key, ABSENT)
+    ]
+
+
+def report_diff(mine: dict, theirs: dict, against: Path) -> int:
+    """Print each differing key with both values and a summary; 1 if any differ."""
+    diffs = diff_maps(mine, theirs)
+    for key, a, b in diffs:
+        print(f"{key}: {a!r} here, {b!r} in {against}")
+    print(f"{len(diffs)} of {len(flatten(mine).keys() | flatten(theirs).keys())} keys differ")
+    return 1 if diffs else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--against", type=Path, help="checkout whose map to compare with")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        other = subprocess.run(
+            [sys.executable, __file__, "--root", str(args.against)], capture_output=True, text=True
+        )
+        sys.stderr.write(other.stderr)
+        if not other.stdout:  # it failed before printing its map
+            return 1
     table, errors = digests(load_workloads(args.root))
     table["commands"], bad_exits = command_digests(args.root)
     errors += bad_exits
-    print(json.dumps(table, indent=1, sort_keys=True))
-    return 1 if errors else 0
+    if args.against is None:
+        print(json.dumps(table, indent=1, sort_keys=True))
+        return 1 if errors else 0
+    differ = report_diff(table, json.loads(other.stdout), args.against)
+    return 1 if errors or other.returncode or differ else 0
 
 
 if __name__ == "__main__":
