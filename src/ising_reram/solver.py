@@ -96,7 +96,6 @@ def load_config_document(doc: dict) -> tuple[DeviceConfig, SolverConfig]:
 @dataclass
 class IterationTrace:
     t: int
-    delta: tuple[float, ...]
     q: float
     flipped: tuple[int, ...]
     cells_targeted: int
@@ -107,7 +106,7 @@ class IterationTrace:
 
 
 # The JSON trace header: written once per report, not once per entry.
-_TRACE_FIELDS = tuple(f.name for f in fields(IterationTrace) if f.name != "delta")
+_TRACE_FIELDS = tuple(f.name for f in fields(IterationTrace))
 _trace_row = attrgetter(*_TRACE_FIELDS)
 
 
@@ -128,9 +127,8 @@ class RunReport:
         """The report's content as JSON values: every field, with the trace
         field names once under ``trace_fields`` and each trace entry an array
         of those fields' values in that order.  The names are the
-        ``IterationTrace`` fields except ``delta`` (one cost per node per
-        iteration would be most of a report's bytes); a reader gets entry
-        ``row`` back as ``dict(zip(trace_fields, row))``."""
+        ``IterationTrace`` fields; a reader gets entry ``row`` back as
+        ``dict(zip(trace_fields, row))``."""
         out = field_dict(self)
         out["trace_fields"] = _TRACE_FIELDS
         out["traces"] = [[_trace_row(tr) for tr in restart] for restart in self.traces]
@@ -351,9 +349,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             infer_before = xb.ledger.inference_energy_nj
             if t == 0 or flips:  # otherwise the array is unchanged: keep the last delta
                 delta = compute_delta(xb, spins, degrees, params)
-                costs = delta.tolist()
-                delta_tuple = tuple(costs)
-                low = min(costs)
+                low = float(delta.min())
             if not low < 0.0 and prior_delta is not spread_of:  # only annealing uses sigma
                 sigma, spread_of = float(np.std(prior_delta)), prior_delta
             q = q_unit(low, sigma, t, solver_config, srng)
@@ -365,7 +361,6 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             traces.append(
                 IterationTrace(
                     t=t,
-                    delta=delta_tuple,
                     q=float(q),
                     flipped=tuple(flips),
                     cells_targeted=targeted,

@@ -385,7 +385,7 @@ def test_run_determinism(three_x):
     rep1 = run(three_x, device, cfg)
     rep2 = run(three_x, device, cfg)
     assert report_to_json(rep1) == report_to_json(rep2)
-    assert rep1.traces == rep2.traces  # delta included, which the JSON leaves out
+    assert rep1.traces == rep2.traces
     rep3 = run(three_x, device, SolverConfig(seed=22))
     assert report_to_json(rep3) != report_to_json(rep1)
 
@@ -400,12 +400,12 @@ def _canonical(text):
 
 
 def _assert_traces_round_trip(report, text):
-    """The parsed report names the ``IterationTrace`` fields except ``delta``
-    once, in declaration order, and each parsed trace row holds exactly that
+    """The parsed report names the ``IterationTrace`` fields once, in
+    declaration order, and each parsed trace row holds exactly that
     many values, equal to its ``IterationTrace`` field by field (``repr`` tells
     -0.0 from 0.0, matches NaN with NaN, and 1 from 1.0 and True)."""
     parsed = json.loads(text)
-    names = [f.name for f in dataclasses.fields(IterationTrace) if f.name != "delta"]
+    names = [f.name for f in dataclasses.fields(IterationTrace)]
     assert parsed["trace_fields"] == names
     rows = parsed["traces"]
     assert [len(r) for r in rows] == [len(r) for r in report.traces]
@@ -421,11 +421,10 @@ def _synthetic_reports():
     """Floats the stdlib spells specially (signed zeros, extremes, NaN,
     infinities), ints beyond a float's exact range, a long ``flipped``, an
     empty restart and a report with no restarts."""
-    specials = (0.0, -0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf, 0.1, -0.0, 0.0)
     traces = [
-        IterationTrace(0, specials, -0.0, (), 0, 0, True, 0.0, 1e-300),
-        IterationTrace(1, specials[::-1], math.nan, (2, 0), 4, 3, False, -0.0, 0.1),
-        IterationTrace(2**53 + 1, (), 1e308, (7, 2**60, 0, 3), 2**64, 3, True, math.inf, -1.5),
+        IterationTrace(0, -0.0, (), 0, 0, True, 5e-324, 1e-300),
+        IterationTrace(1, math.nan, (2, 0), 4, 3, False, -0.0, 1e22),
+        IterationTrace(2**53 + 1, 1e308, (7, 2**60, 0, 3), 2**64, 3, True, math.inf, -math.inf),
     ]
     report = RunReport(
         verdict="Unknown",
@@ -465,11 +464,10 @@ def test_report_json_is_slim_and_strict():
         raise ValueError(f"non-standard JSON constant {name}")
 
     parsed = json.loads(text, parse_constant=reject)
-    names = [f.name for f in dataclasses.fields(IterationTrace) if f.name != "delta"]
+    names = [f.name for f in dataclasses.fields(IterationTrace)]
     assert [len(r) for r in parsed["traces"]] == [300, 300]
     assert parsed["trace_fields"] == names
     assert all(len(row) == len(names) for r in parsed["traces"] for row in r)
-    assert all(len(tr.delta) == 120 for r in report.traces for tr in r)
     # One line with the field names once: 37,444 bytes; with the names in every entry, 110,504.
     assert len(text.encode()) < 45_000
     assert text == _stdlib_report_json(report)
@@ -551,7 +549,13 @@ def test_run_reads_and_decodes_only_after_a_change(monkeypatch, p_cell_success):
     expected, found = _hand_loop(cnf, device, config)
 
     calls = {"read": 0, "decode": 0}
+    reads = []
     read_, decode_ = Crossbar.read_columns, solver_module.decode_solution
+    compute_delta_ = solver_module.compute_delta
+
+    def recording_delta(*args):
+        reads.append(compute_delta_(*args))
+        return reads[-1]
 
     def counting_read(self, drive):
         calls["read"] += 1
@@ -563,15 +567,19 @@ def test_run_reads_and_decodes_only_after_a_change(monkeypatch, p_cell_success):
 
     monkeypatch.setattr(Crossbar, "read_columns", counting_read)
     monkeypatch.setattr(solver_module, "decode_solution", counting_decode)
+    monkeypatch.setattr(solver_module, "compute_delta", recording_delta)
     report = run(cnf, device, config)
 
     assert [len(r) for r in report.traces] == [config.max_iters] * config.restarts
     skipped = flipping = 0
+    read = -1
     for traces, rows in zip(report.traces, expected):
         for tr, row in zip(traces, rows):
+            # The costs in effect: the run's latest read, taken at t = 0 and after a flip.
+            read += tr.t == 0 or bool(traces[tr.t - 1].flipped)
             assert (
-                tr.t, tr.delta, tr.q, tr.flipped, tr.cells_targeted, tr.cells_correct,
-                tr.iteration_accurate,
+                tr.t, tuple(reads[read].tolist()), tr.q, tr.flipped, tr.cells_targeted,
+                tr.cells_correct, tr.iteration_accurate,
             ) == row[:7]
             if tr.t > 0 and not traces[tr.t - 1].flipped:
                 skipped += 1
@@ -799,9 +807,13 @@ def test_profiled_run_takes_each_spread_at_most_once_per_read(monkeypatch):
     assert all(any(s is r for r in reads) for s in spreads)
     assert len({id(s) for s in spreads}) == len(spreads)
     # Spreads are taken only where wanted: of the read before each non-greedy iteration.
-    wanted = 0
+    wanted = first = 0
     for traces in report.traces:
-        read_of = list(itertools.accumulate(tr.t == 0 or bool(traces[tr.t - 1].flipped)
-                                            for tr in traces))
-        wanted += len({read_of[tr.t - 1] for tr in traces if tr.t > 0 and min(tr.delta) >= 0.0})
+        # read_of[t]: the index in ``reads`` of the costs iteration t acted on.
+        read_of = [first + k - 1 for k in itertools.accumulate(
+            tr.t == 0 or bool(traces[tr.t - 1].flipped) for tr in traces)]
+        wanted += len({read_of[tr.t - 1] for tr in traces
+                       if tr.t > 0 and reads[read_of[tr.t]].min() >= 0.0})
+        first = read_of[-1] + 1
+    assert first == len(reads)
     assert len(spreads) == wanted
