@@ -29,19 +29,28 @@ bypasses it.
 ``Crossbar.program`` writes an ordered batch of cells in one call: a cell that
 already holds its target costs nothing and issues no pulse, and every other
 cell goes through ``program_cell`` in order, so a batch draws from the
-device's generator exactly as the same writes made one by one.
+device's generators exactly as the same writes made one by one.
+
+Every pulse takes exactly four random numbers, whether its branch uses them
+or not: two uniforms from ``Crossbar.rng`` (success, then landing) and two
+normals from ``Crossbar.normal_rng`` (miss spread, then energy noise).  A cell
+that already holds its target takes none.  Each generator is drawn in blocks
+of ``_DRAW_BLOCK`` values on the first pulse that needs them, so a crossbar
+that is never written draws nothing; numpy fills an array draw element by
+element with its scalar routine, so the block size changes no number, and a
+pulse's four values are the next four scalar draws of the two generators.
 
 ``program_cell`` is the one per-pulse kernel.  Every constant it reads that
 derives from the config (array shape, both target windows with their
 triangular products, the write statistics, the noise sigma and its
 -sigma**2/2 shift, the curve anchors and slopes, the window bounds) comes
-from one tuple cached on the frozen ``DeviceConfig``; the generator,
+from one tuple cached on the frozen ``DeviceConfig``; the draws,
 conductance, sensed grid and ledger are read from the crossbar on every call.
 Each pulse is one ``program_cell`` call and one ledger entry, because the
 benchmark's per-layer spans wrap that method and divide by its call count.
-On a 2-vCPU host a pulse takes about 3.3 us (best of 30 rounds of 20,000
-calls), and about 1.4 us of that are its three scalar generator calls; only
-batched draws, which change the random stream, can remove them.
+On a 2-vCPU host a pulse takes about 2.1 us (best of 30 rounds of 20,000
+calls into a 200x200 array); with three scalar generator calls per pulse in
+place of one ``next()`` on the block iterators it took about 3.3 us.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, partial
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,6 +91,16 @@ class CellState(IntEnum):
 
 # The states as plain ints, for the per-cell paths (an IntEnum compares equal to its int).
 _STATE0, _STATE1, _INDETERMINATE = map(int, CellState)
+
+# Values a crossbar's generators draw per call; the size changes no number
+# (see the module docstring).
+_DRAW_BLOCK = 256
+
+
+def _blocks(draw) -> Iterator[float]:
+    """The values of ``draw(_DRAW_BLOCK)``, ``draw(_DRAW_BLOCK)``, ... as plain
+    floats, one at a time; nothing is drawn before the first value is asked for."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_DRAW_BLOCK))))
 
 
 def _check_kind(kind: str) -> None:
@@ -255,8 +275,10 @@ class EnergyLedger:
 class Crossbar:
     """Single-owner mutable crossbar; all state changes flow through methods.
 
-    The RNG stream belongs to the instance, so two crossbars with the same
+    The RNG streams belong to the instance, so two crossbars with the same
     config and seed replay identical stochastic behavior write for write.
+    ``rng`` supplies the pulses' uniforms and ``normal_rng`` their normals,
+    each in blocks drawn on demand.
     """
 
     def __init__(self, config: DeviceConfig, seed: int) -> None:
@@ -264,6 +286,10 @@ class Crossbar:
         self.conductance = np.full((config.rows, config.cols), config.g_state0, dtype=float)
         self.state = np.full(self.conductance.shape, int(CellState.STATE0), dtype=np.int8)
         self.rng = substream(seed, 0xC3)
+        self.normal_rng = substream(seed, 0xC3, 1)
+        uniforms, normals = _blocks(self.rng.random), _blocks(self.normal_rng.standard_normal)
+        # A pulse's draws: (success, landing) uniforms, (miss, energy noise) normals.
+        self._draws = zip(uniforms, uniforms, normals, normals)
         self.ledger = EnergyLedger()
 
     def _check_coords(self, row: int, col: int) -> None:
@@ -287,22 +313,30 @@ class Crossbar:
         the nominal target); failed writes scatter around the nominal.  The
         energy goes to the ledger total ``kind``, "init" or "program".
 
-        A shortcut landing is numpy's ``random_triangular`` formula applied to
-        one ``rng.random()``, the same single uniform and the same arithmetic
-        as ``rng.triangular(lo, lo, nominal)`` or ``rng.triangular(nominal,
-        hi, hi)`` without its per-call argument conversion.  A missed write
-        and the energy noise are numpy's ``loc + scale * z`` on one
-        ``rng.standard_normal()``, as ``rng.normal(nominal, miss_spread)``
-        and ``rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma)`` compute
-        them; the exponential is ``math.exp``, the libm call numpy's lognormal
-        makes (a ufunc such as ``np.exp`` may take a SIMD path).
+        A pulse that is not skipped takes its four draws with one ``next()``
+        (see the module docstring), and each feeds one branch:
+
+        - the success uniform decides the write: below ``p_cell_success`` it
+          succeeds;
+        - the landing uniform places a successful shortcut write, by numpy's
+          ``random_triangular`` formula, the arithmetic of
+          ``rng.triangular(lo, lo, nominal)`` or ``rng.triangular(nominal,
+          hi, hi)`` on that uniform; a failed write, or a success with
+          ``shortcut_writes`` off, leaves it unused;
+        - the miss normal scatters a failed write, ``nominal + miss_spread *
+          z`` as ``rng.normal(nominal, miss_spread)`` computes it; a
+          successful write leaves it unused;
+        - the noise normal scales the energy, ``math.exp(-sigma**2 / 2 +
+          sigma * z)`` as ``rng.lognormal(mean=-0.5 * sigma * sigma,
+          sigma=sigma)`` computes it (``math.exp`` is the libm call numpy's
+          lognormal makes; a ufunc such as ``np.exp`` may take a SIMD path);
+          with ``energy_noise_sigma`` 0 it is unused.
 
         The config's constants come from ``DeviceConfig._pulse``, computed once
         per config, and ``stored_energy_nj`` and ``classify_value`` are inlined
         with the same arithmetic, so a write gives the bits those calls would.
         Every pulse, :meth:`program`'s included, is one call here and one
-        ledger entry, because the benchmark's spans count these calls; about
-        1.4 of a pulse's roughly 3.3 us are its generator calls.
+        ledger entry, because the benchmark's spans count these calls.
         """
         (rows, cols, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, slopes, lo0, hi0, lo1, hi1) = self.config._pulse
@@ -319,19 +353,18 @@ class Crossbar:
         start = self.conductance.item(row, col)
         if self.state.item(row, col) == target:
             return _outcome((start, True, 0.0))
-        rng = self.rng
-        if rng.random() < p_success:
+        success, landing, miss, noise = next(self._draws)
+        if success < p_success:
             if not shortcut:
                 final = nominal
             elif start < lo:
                 # triangular(lo, lo, nominal): its ratio is 0, so only u == 0 lands on lo.
-                u = rng.random()
-                final = nominal - math.sqrt((1.0 - u) * p_lo) if u > 0.0 else lo
+                final = nominal - math.sqrt((1.0 - landing) * p_lo) if landing > 0.0 else lo
             else:
                 # triangular(nominal, hi, hi): its ratio is exactly 1.
-                final = nominal + math.sqrt(rng.random() * p_hi)
+                final = nominal + math.sqrt(landing * p_hi)
         else:
-            final = nominal + spread * rng.standard_normal()
+            final = nominal + spread * miss
         # Clamped to the curve, as min(max(final, gs[0]), gs[-1]) would.
         if final < gs[0]:
             final = gs[0]
@@ -348,7 +381,7 @@ class Crossbar:
             energy = abs(energy - self.config.stored_energy_nj(start))
         if sigma != 0:
             # Mean-one lognormal so that configured noise leaves averages in place.
-            energy *= math.exp(shift + sigma * rng.standard_normal())
+            energy *= math.exp(shift + sigma * noise)
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
         # classify_value inlined.
@@ -415,11 +448,21 @@ class Crossbar:
         return currents
 
     def inject_fault(self, row: int, col: int, conductance: float) -> None:
-        """Force a cell's conductance directly, at no energy and with no ledger entry."""
+        """Force a cell's conductance directly, at no energy and with no ledger entry.
+
+        A conductance beyond the energy curve is legal, up to the largest
+        whose full-array read energy, ``DeviceConfig``'s read bound with it in
+        place of the curve end, stays finite.
+        """
         self._check_coords(row, col)
         g = float(conductance)
         if not 0 <= g < math.inf:
-            raise ValueError(f"fault conductance must be finite and non-negative, got {g!r}")
+            raise ValueError(f"fault conductance at cell ({row}, {col}) must be finite "
+                             f"and non-negative, got {g!r}")
+        cfg = self.config
+        if not cfg.v_read ** 2 * (g * cfg.rows * cfg.cols) * cfg.t_read * 1e3 < math.inf:
+            raise ValueError(f"fault conductance {g!r} at cell ({row}, {col}) overflows "
+                             f"the read energy of a full {cfg.rows}x{cfg.cols} array")
         self.conductance[row, col] = g
         self.state[row, col] = self.config.classify_value(g)
 

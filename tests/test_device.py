@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+import ising_reram.device as device_module
 from ising_reram import (
     CellState,
     DeviceConfig,
@@ -198,6 +200,12 @@ def _raised(call):
     return type(info.value), str(info.value)
 
 
+def _same_generators(a, b) -> bool:
+    """Have two crossbars drawn the same blocks from both of their generators?"""
+    return (a.rng.bit_generator.state == b.rng.bit_generator.state
+            and a.normal_rng.bit_generator.state == b.normal_rng.bit_generator.state)
+
+
 @DEVICE_VARIANTS
 def test_program_batch_equals_cell_by_cell_writes(overrides):
     cfg = DeviceConfig(**overrides)  # every variant has failed writes
@@ -207,7 +215,13 @@ def test_program_batch_equals_cell_by_cell_writes(overrides):
         for col in range(0, cfg.cols, 3):
             xb.program_cell(col % cfg.rows, col, CellState.STATE1, "init")
         xb.inject_fault(5, 5, 45.0)
-    for kind in ("init", "program"):
+    # One batch of each kind, then more "program" batches until one has a
+    # write that missed its window (at p = 0.99 about one batch in ten has none).
+    missed = False
+    kinds = itertools.chain(("init", "program"), itertools.repeat("program", 30))
+    for batches, kind in enumerate(kinds, 1):
+        if missed and batches > 2:
+            break
         order = rng.permutation(cfg.rows * cfg.cols)
         targets = rng.integers(0, 2, size=order.size)
         cells = [
@@ -219,11 +233,13 @@ def test_program_batch_equals_cell_by_cell_writes(overrides):
         counts = batch.program(cells, kind)
         outcomes = [single.program_cell(row, col, target, kind) for row, col, target in cells]
         assert counts == (len(cells), sum(out.landed_in_window for out in outcomes))
-        assert counts[1] < counts[0]  # some writes missed their window
+        missed = missed or counts[1] < counts[0]
         assert np.array_equal(batch.conductance, single.conductance)
         assert np.array_equal(batch.state, single.state)
         assert batch.ledger._totals == single.ledger._totals
-        assert batch.rng.bit_generator.state == single.rng.bit_generator.state
+        assert _same_generators(batch, single)
+    assert missed  # some writes missed their window
+    assert next(batch._draws) == next(single._draws)
     assert batch.program([], "init") == (0, 0)
 
 
@@ -237,7 +253,7 @@ def test_program_batch_from_a_generator_equals_the_list():
     assert np.array_equal(listed.conductance, generated.conductance)
     assert np.array_equal(listed.state, generated.state)
     assert listed.ledger._totals == generated.ledger._totals
-    assert listed.rng.bit_generator.state == generated.rng.bit_generator.state
+    assert _same_generators(listed, generated)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +398,46 @@ def test_inject_fault_rejects_non_finite_conductance(g):
     assert math.isfinite(xb.ledger.total_nj())
 
 
+def test_inject_fault_rejects_a_conductance_whose_full_read_overflows():
+    xb = new_crossbar(DeviceConfig(), seed=1)
+    xb.inject_fault(0, 0, 160.0)  # beyond the curve end, and legal
+    with pytest.raises(ValueError, match=r"1e\+308 at cell \(0, 1\) overflows"):
+        xb.inject_fault(0, 1, 1e308)
+    assert xb.conductance[0, 1] == 20.0
+    assert xb.state[0, 1] == CellState.STATE0
+
+
+def _largest_accepted_fault(xb) -> float:
+    """The largest conductance ``inject_fault`` accepts, by bisection on the
+    bit patterns of non-negative doubles (which order as their values)."""
+    as_float = lambda bits: float(np.int64(bits).view(np.float64))
+    lo, hi = 0, int(np.float64(math.inf).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            xb.inject_fault(0, 0, as_float(mid))
+            lo = mid
+        except ValueError:
+            hi = mid
+    return as_float(lo)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"rows": 60, "cols": 120, "v_read": 40.0}])
+def test_a_full_array_at_the_largest_accepted_fault_reads_finite(overrides):
+    cfg = DeviceConfig(**overrides)
+    xb = new_crossbar(cfg, seed=1)
+    g = _largest_accepted_fault(xb)
+    with pytest.raises(ValueError, match="overflows"):
+        xb.inject_fault(0, 0, float(np.nextafter(g, math.inf)))
+    for row in range(cfg.rows):
+        for col in range(cfg.cols):
+            xb.inject_fault(row, col, g)
+    with np.errstate(over="raise"):
+        currents = xb.read_columns(np.ones(cfg.rows, dtype=int))
+    assert np.isfinite(currents).all()
+    assert 0 < xb.ledger.inference_energy_nj < math.inf
+
+
 def test_ledger_rejects_nan_and_unknown_kinds():
     ledger = EnergyLedger()
     ledger.record("program", 1.5)
@@ -402,29 +458,41 @@ def _reference_program_cell(xb, row, col, target, kind):
     and its energy with ``np.interp`` (``stored_energy_nj``).
 
     This is the write model as first written, kept as the oracle for the
-    per-pulse kernel in ``Crossbar.program_cell``: it must make the same
-    draws from the same generator and give the same bits.
+    per-pulse kernel in ``Crossbar.program_cell``, in its draw layout: a
+    pulse takes two uniforms from ``xb.rng`` (success, then landing) and two
+    normals from ``xb.normal_rng`` (miss, then energy noise), and a draw its
+    branch does not use is skipped with a plain ``random()`` or
+    ``standard_normal()``.  Called on a twin crossbar that is never written
+    otherwise, it makes the scalar draws the kernel takes from its blocks.
     """
     cfg = xb.config
+    uniform, normal = xb.rng, xb.normal_rng
     g = cfg.g_state1 if target == CellState.STATE1 else cfg.g_state0
     lo, hi, nominal = float(g - cfg.tolerance), float(g + cfg.tolerance), float(g)
     start = xb.conductance.item(row, col)
     if xb.state.item(row, col) == target:
         return WriteOutcome(start, True, 0.0)
-    if xb.rng.random() < cfg.p_cell_success:
-        if not cfg.shortcut_writes:
-            final = nominal
-        elif start < lo:
-            final = float(xb.rng.triangular(lo, lo, nominal))
-        else:
-            final = float(xb.rng.triangular(nominal, hi, hi))
+    success = uniform.random() < cfg.p_cell_success
+    if success and cfg.shortcut_writes and start < lo:
+        final = float(uniform.triangular(lo, lo, nominal))
+    elif success and cfg.shortcut_writes:
+        final = float(uniform.triangular(nominal, hi, hi))
     else:
-        final = float(xb.rng.normal(nominal, cfg.miss_spread))
+        uniform.random()
+        final = nominal
+    if success:
+        normal.standard_normal()
+    else:
+        final = float(normal.normal(nominal, cfg.miss_spread))
     curve = cfg.energy_curve
     final = min(max(final, curve[0][0]), curve[-1][0])
     swing = abs(cfg.stored_energy_nj(final) - cfg.stored_energy_nj(start))
     sigma = cfg.energy_noise_sigma
-    noise = 1.0 if sigma == 0 else float(xb.rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+    if sigma == 0:
+        normal.standard_normal()
+        noise = 1.0
+    else:
+        noise = float(normal.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
     energy = swing * noise
     xb.ledger.record(kind, energy)
     xb.conductance[row, col] = final
@@ -432,17 +500,21 @@ def _reference_program_cell(xb, row, col, target, kind):
     return WriteOutcome(final, lo <= final <= hi, energy)
 
 
-@DEVICE_VARIANTS
-def test_program_cell_equals_numpy_distribution_calls_bit_for_bit(overrides):
-    cfg = DeviceConfig(rows=6, cols=6, **overrides)
-    xb, ref = new_crossbar(cfg, seed=11), new_crossbar(cfg, seed=11)
+def _next_scalar_draws(xb):
+    """The next pulse's four draws, made one scalar call at a time."""
+    return xb.rng.random(), xb.rng.random(), xb.normal_rng.standard_normal(), \
+        xb.normal_rng.standard_normal()
+
+
+def _random_writes(cfg, xb, ref, writes, picks):
+    """``writes`` writes on ``xb`` and, by the reference, on its twin ``ref``,
+    each from a start below, on the edges of, inside or above a window, in
+    the dead zone or beyond the curve; returns the number of pulses."""
     lo0, hi0 = cfg.g_state0 - cfg.tolerance, cfg.g_state0 + cfg.tolerance
     lo1, hi1 = cfg.g_state1 - cfg.tolerance, cfg.g_state1 + cfg.tolerance
-    # Below, on the edges of, inside and above each window, and in the dead zone.
     starts = (0.0, lo0 - 3.0, lo0, cfg.g_state0 + 1.5, hi0, (hi0 + lo1) / 2,
               lo1 - 0.5, lo1, cfg.g_state1 - 2.0, hi1, hi1 + 4.0, 140.0, 160.0)
-    picks = np.random.default_rng(3)
-    writes = 6_000
+    pulses = 0
     for i in range(writes):
         row, col = int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols))
         if picks.random() < 0.7:
@@ -451,14 +523,73 @@ def test_program_cell_equals_numpy_distribution_calls_bit_for_bit(overrides):
             ref.inject_fault(row, col, start)
         target = (CellState.STATE0, CellState.STATE1)[int(picks.integers(2))]
         kind = "init" if i % 3 == 0 else "program"
+        pulses += xb.state.item(row, col) != target
         got = xb.program_cell(row, col, target, kind)
         assert got == _reference_program_cell(ref, row, col, target, kind), i
+    return pulses
+
+
+@DEVICE_VARIANTS
+def test_program_cell_equals_numpy_distribution_calls_bit_for_bit(overrides):
+    cfg = DeviceConfig(rows=6, cols=6, **overrides)
+    xb, ref = new_crossbar(cfg, seed=11), new_crossbar(cfg, seed=11)
+    pulses = _random_writes(cfg, xb, ref, 6_000, np.random.default_rng(3))
+    assert pulses > device_module._DRAW_BLOCK  # each stream crosses two block boundaries
     assert np.array_equal(xb.conductance, ref.conductance)
     assert np.array_equal(xb.state, ref.state)
     for total in ("init_energy_nj", "program_energy_nj", "inference_energy_nj"):
         assert getattr(xb.ledger, total) == getattr(ref.ledger, total)
     assert xb.ledger.total_nj() == ref.ledger.total_nj()
-    assert xb.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert next(xb._draws) == _next_scalar_draws(ref)
+
+
+@pytest.mark.parametrize("block", [1, 5, 8])
+def test_pulses_take_two_uniforms_and_two_normals_across_block_boundaries(monkeypatch, block):
+    # An odd block splits a pulse's two uniforms (and its two normals) across blocks.
+    monkeypatch.setattr(device_module, "_DRAW_BLOCK", block)
+    cfg = DeviceConfig(rows=4, cols=4, p_cell_success=0.5)
+    xb, ref = new_crossbar(cfg, seed=2), new_crossbar(cfg, seed=2)
+    pulses = _random_writes(cfg, xb, ref, 60, np.random.default_rng(8))
+    assert pulses > 2 * block
+    assert next(xb._draws) == _next_scalar_draws(ref)
+    # Blocks are drawn on demand: each stream has drawn up to the block holding its last value.
+    blocks = -(-2 * (pulses + 1) // block)
+    twin = new_crossbar(cfg, seed=2)
+    twin.rng.random(blocks * block)
+    twin.normal_rng.standard_normal(blocks * block)
+    assert _same_generators(xb, twin)
+
+
+def test_a_crossbar_that_is_never_written_draws_nothing():
+    fresh, xb = new_crossbar(DeviceConfig(), seed=3), new_crossbar(DeviceConfig(), seed=3)
+    xb.program_cell(0, 0, CellState.STATE0)  # held: no pulse
+    xb.program([(1, 1, CellState.STATE0)] * 3, "init")
+    xb.read_columns(np.ones(32, dtype=int))
+    xb.inject_fault(2, 2, 45.0)
+    assert _same_generators(xb, fresh)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((99, 0, CellState.STATE1), IndexError),
+        ((0, -1, CellState.STATE1), IndexError),
+        ((0, 0, CellState.STATE1, "flip"), ValueError),
+        ((0, 0, CellState.INDETERMINATE), ValueError),
+        ((0, 0, 7), ValueError),
+    ],
+)
+def test_a_refused_write_draws_nothing(args, error):
+    xb, twin = new_crossbar(DeviceConfig(), seed=4), new_crossbar(DeviceConfig(), seed=4)
+    with pytest.raises(error):
+        xb.program_cell(*args)
+    with pytest.raises(error):
+        xb.program([args[:3]], *args[3:])
+    assert _same_generators(xb, twin)  # no block drawn
+    assert xb.ledger._totals == twin.ledger._totals
+    # After a pulse on each, the next draws agree: the refusals took no value either.
+    assert xb.program_cell(1, 1, CellState.STATE1) == twin.program_cell(1, 1, CellState.STATE1)
+    assert next(xb._draws) == next(twin._draws)
 
 
 def test_ledger_completeness_and_determinism():

@@ -33,6 +33,7 @@ from ising_reram import (
     select_flips,
     verify_assignment,
 )
+import ising_reram.device as device_module
 import ising_reram.solver as solver_module
 from ising_reram.solver import _columns_hold_pattern, random_spins
 from ising_reram.util import derive_seed, substream
@@ -105,6 +106,8 @@ def test_map_problem_equals_two_cell_batch_on_blank_array(overrides, instance, t
     assert np.array_equal(mapped.state, twin.state)
     assert mapped.ledger._totals == twin.ledger._totals
     assert mapped.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert mapped.normal_rng.bit_generator.state == twin.normal_rng.bit_generator.state
+    assert next(mapped._draws) == next(twin._draws)
 
 
 @pytest.mark.parametrize("fault", [70.0, 45.0], ids=["state1-cell", "dead-zone"])
@@ -112,11 +115,15 @@ def test_map_problem_refuses_an_array_that_is_not_blank(three_x, fault):
     adj = adjacency_matrix(build_graph(three_x))
     xb = new_crossbar(DeviceConfig(rows=6, cols=12), seed=0)
     xb.inject_fault(3, 7, fault)
-    rng_state, totals = xb.rng.bit_generator.state, dict(xb.ledger._totals)
+    twin = new_crossbar(DeviceConfig(rows=6, cols=12), seed=0)
+    totals = dict(xb.ledger._totals)
     conductance = xb.conductance.copy()
     with pytest.raises(ValueError, match="blank array"):
         map_problem(adj, np.ones(6, dtype=int), xb)
-    assert xb.rng.bit_generator.state == rng_state
+    # Neither generator has drawn a block, and the next pulse's draws are the first.
+    assert xb.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert xb.normal_rng.bit_generator.state == twin.normal_rng.bit_generator.state
+    assert next(xb._draws) == next(twin._draws)
     assert xb.ledger._totals == totals
     assert np.array_equal(xb.conductance, conductance)
 
@@ -388,6 +395,28 @@ def test_run_determinism(three_x):
     assert rep1.traces == rep2.traces
     rep3 = run(three_x, device, SolverConfig(seed=22))
     assert report_to_json(rep3) != report_to_json(rep1)
+
+
+def test_draw_block_size_changes_no_output(monkeypatch):
+    cnf = random_3sat(13, 40, 3)
+    device = DeviceConfig(rows=120, cols=240, p_cell_success=0.9)
+    config = SolverConfig(restarts=2, max_iters=40, seed=3, profile_iterations=True)
+    new_crossbar_ = solver_module.new_crossbar
+    outputs = []
+    for block in (1, 3, device_module._DRAW_BLOCK):
+        crossbars = []
+
+        def recording_crossbar(*args):
+            crossbars.append(new_crossbar_(*args))
+            return crossbars[-1]
+
+        monkeypatch.setattr(device_module, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(solver_module, "new_crossbar", recording_crossbar)
+        text = report_to_json(run(cnf, device, config))
+        outputs.append((text, [(xb.conductance.tobytes(), xb.state.tobytes(), xb.ledger._totals)
+                               for xb in crossbars]))
+    assert len(outputs[0][1]) == config.restarts
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _stdlib_report_json(report):
