@@ -313,24 +313,18 @@ class Crossbar:
         the nominal target); failed writes scatter around the nominal.  The
         energy goes to the ledger total ``kind``, "init" or "program".
 
-        A pulse that is not skipped takes its four draws with one ``next()``
-        (see the module docstring), and each feeds one branch:
-
-        - the success uniform decides the write: below ``p_cell_success`` it
-          succeeds;
-        - the landing uniform places a successful shortcut write, by numpy's
-          ``random_triangular`` formula, the arithmetic of
-          ``rng.triangular(lo, lo, nominal)`` or ``rng.triangular(nominal,
-          hi, hi)`` on that uniform; a failed write, or a success with
-          ``shortcut_writes`` off, leaves it unused;
-        - the miss normal scatters a failed write, ``nominal + miss_spread *
-          z`` as ``rng.normal(nominal, miss_spread)`` computes it; a
-          successful write leaves it unused;
-        - the noise normal scales the energy, ``math.exp(-sigma**2 / 2 +
-          sigma * z)`` as ``rng.lognormal(mean=-0.5 * sigma * sigma,
-          sigma=sigma)`` computes it (``math.exp`` is the libm call numpy's
-          lognormal makes; a ufunc such as ``np.exp`` may take a SIMD path);
-          with ``energy_noise_sigma`` 0 it is unused.
+        A pulse that is not skipped takes its four draws (see the module
+        docstring) with one ``next()``.  The success uniform decides the write:
+        below ``p_cell_success`` it succeeds.  The landing uniform places a
+        successful shortcut write by numpy's ``random_triangular`` formula, the
+        arithmetic of ``rng.triangular(lo, lo, nominal)`` or
+        ``rng.triangular(nominal, hi, hi)``.  The miss normal scatters a failed
+        write, ``nominal + miss_spread * z`` as ``rng.normal`` computes it.  The
+        noise normal scales the energy by ``math.exp(shift + sigma * z)`` as
+        ``rng.lognormal(mean=shift, sigma=sigma)`` computes it, with shift =
+        -sigma**2 / 2 (``math.exp`` is the libm call numpy's lognormal makes; a
+        ufunc such as ``np.exp`` may take a SIMD path).  A draw whose branch is
+        not taken goes unused.
 
         The config's constants come from ``DeviceConfig._pulse``, computed once
         per config, and ``stored_energy_nj`` and ``classify_value`` are inlined

@@ -216,7 +216,7 @@ def test_program_batch_equals_cell_by_cell_writes(overrides):
             xb.program_cell(col % cfg.rows, col, CellState.STATE1, "init")
         xb.inject_fault(5, 5, 45.0)
     # One batch of each kind, then more "program" batches until one has a
-    # write that missed its window (at p = 0.99 about one batch in ten has none).
+    # write that missed its window: at p = 0.99 a batch may have none.
     missed = False
     kinds = itertools.chain(("init", "program"), itertools.repeat("program", 30))
     for batches, kind in enumerate(kinds, 1):
