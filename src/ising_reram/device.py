@@ -27,9 +27,11 @@ it costs no pass over ``conductance``.  Assigning to ``conductance`` directly
 bypasses it.
 
 ``Crossbar.program`` writes an ordered batch of cells in one call: a cell that
-already holds its target costs nothing and issues no pulse, and every other
-cell goes through ``program_cell`` in order, so a batch draws from the
-device's generators exactly as the same writes made one by one.
+already holds its target costs nothing and issues no pulse.  A batch of fewer
+than ``_BATCH_MIN`` cells pulses every other cell through ``program_cell`` in
+order; a larger one is written in one numpy pass that takes the same draws,
+computes the same bits and adds the same ledger entries to the totals in the
+same order, so the threshold changes no output.
 
 Every pulse takes exactly four random numbers, whether its branch uses them
 or not: two uniforms from ``Crossbar.rng`` (success, then landing) and two
@@ -39,15 +41,18 @@ of ``_DRAW_BLOCK`` values on the first pulse that needs them, so a crossbar
 that is never written draws nothing; numpy fills an array draw element by
 element with its scalar routine, so the block size changes no number, and a
 pulse's four values are the next four scalar draws of the two generators.
+A numpy batch of k pulses takes the next k of them, as k pulses would.
 
-``program_cell`` is the one per-pulse kernel.  Every constant it reads that
+``program_cell`` is the per-pulse kernel, and the reference the numpy batch
+is tested against.  Every constant it reads that
 derives from the config (array shape, both target windows with their
 triangular products, the write statistics, the noise sigma and its
 -sigma**2/2 shift, the curve anchors and slopes, the window bounds) comes
 from one tuple cached on the frozen ``DeviceConfig``; the draws,
 conductance, sensed grid and ledger are read from the crossbar on every call.
-Each pulse is one ``program_cell`` call and one ledger entry, because the
-benchmark's per-layer spans wrap that method and divide by its call count.
+Each of its pulses is one ledger entry; a numpy batch makes one
+``EnergyLedger.record_all`` call, so spans that wrap ``program_cell`` and
+``EnergyLedger.record`` see the small batches' pulses only.
 On a 2-vCPU host a pulse takes about 2.1 us (best of 30 rounds of 20,000
 calls into a 200x200 array); with three scalar generator calls per pulse in
 place of one ``next()`` on the block iterators it took about 3.3 us.
@@ -60,7 +65,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -95,6 +100,14 @@ _STATE0, _STATE1, _INDETERMINATE = map(int, CellState)
 # Values a crossbar's generators draw per call; the size changes no number
 # (see the module docstring).
 _DRAW_BLOCK = 256
+
+
+# Batches of at least this many cells are written by one numpy pass (see the
+# module docstring); the threshold changes no number.
+_BATCH_MIN = 64
+
+# What a batch's targets may be for the numpy pass; the loop takes anything else.
+_TARGET_TYPES = {int, bool, CellState}
 
 
 def _blocks(draw) -> Iterator[float]:
@@ -252,9 +265,29 @@ class EnergyLedger:
         if not 0 <= energy_nj < math.inf:  # also rejects NaN
             raise ValueError(f"ledger entries must be finite and non-negative, got {energy_nj!r}")
         try:
-            self._totals[kind] += energy_nj
+            total = self._totals[kind] + energy_nj
         except KeyError:
             raise ValueError(f"unknown ledger kind {kind!r}") from None
+        if not total < math.inf:
+            raise ValueError(f"the {kind} total {self._totals[kind]!r} overflows "
+                             f"with the entry {energy_nj!r}")
+        self._totals[kind] = total
+
+    def record_all(self, kind: str, energies: np.ndarray) -> None:
+        """Record a float array of entries as one ``record`` call each would,
+        adding them to the total left to right, or raise ValueError and
+        leave the total unchanged."""
+        if kind not in self._totals:
+            raise ValueError(f"unknown ledger kind {kind!r}")
+        if not ((0 <= energies) & (energies < math.inf)).all():
+            raise ValueError("ledger entries must be finite and non-negative")
+        # cumsum adds in order, as repeated += does; with no negative entry a
+        # total that overflows stays inf.
+        with np.errstate(over="ignore"):
+            total = float(np.cumsum(np.concatenate(([self._totals[kind]], energies)))[-1])
+        if not total < math.inf:
+            raise ValueError(f"the {kind} total {self._totals[kind]!r} overflows")
+        self._totals[kind] = total
 
     @property
     def init_energy_nj(self) -> float:
@@ -329,8 +362,8 @@ class Crossbar:
         The config's constants come from ``DeviceConfig._pulse``, computed once
         per config, and ``stored_energy_nj`` and ``classify_value`` are inlined
         with the same arithmetic, so a write gives the bits those calls would.
-        Every pulse, :meth:`program`'s included, is one call here and one
-        ledger entry, because the benchmark's spans count these calls.
+        :meth:`program` pulses a batch of fewer than ``_BATCH_MIN`` cells
+        through here, one call and one ledger entry per pulse.
         """
         (rows, cols, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, slopes, lo0, hi0, lo1, hi1) = self.config._pulse
@@ -389,22 +422,29 @@ class Crossbar:
     ) -> tuple[int, int]:
         """Write an ordered batch of distinct (row, col, target) cells, from any iterable.
 
-        Returns (cells targeted, cells in their target window afterwards).  A
-        cell already holding its target is counted as landed without a call to
-        :meth:`program_cell`, which would skip it at no cost and with no draw;
-        every other cell is written by :meth:`program_cell` in the given order,
-        so the batch makes the same draws as the same writes made one by one.
-        A target is a writable ``CellState`` (or 0/1, False/True).  ``kind``
-        is checked once per batch; the pulses stay one ``program_cell`` call
-        each, which is what the benchmark's write spans count.
+        Returns (cells targeted, cells in their target window afterwards).
+        The cells are read in full before the first write.  A cell already
+        holding its target is counted as landed with no pulse and no draw.
+        A target is a writable ``CellState`` (or 0/1, False/True).
+
+        A batch of fewer than ``_BATCH_MIN`` cells writes every other cell by
+        :meth:`program_cell` in the given order.  A larger one is written by
+        :meth:`_write_batch` in one numpy pass with the same draws, bits,
+        ledger totals and return value, unless the loop would refuse one of
+        its cells or see a cell twice: such a batch goes to the loop before
+        any draw, so it writes and raises as the loop does.
         """
         _check_kind(kind)
+        cells = list(cells)
+        if len(cells) >= _BATCH_MIN:
+            counts = self._write_batch(cells, kind)
+            if counts is not None:
+                return counts
         rows, cols = self.config.rows, self.config.cols
         held = self.state.item
         write = self.program_cell
-        targeted = landed = 0
+        landed = 0
         for row, col, target in cells:
-            targeted += 1
             # Out-of-range cells and the indeterminate target fall through to
             # program_cell, which raises for them.
             in_range = 0 <= row < rows and 0 <= col < cols
@@ -412,7 +452,73 @@ class Crossbar:
                 landed += 1
             else:
                 landed += write(row, col, target, kind).landed_in_window
-        return targeted, landed
+        return len(cells), landed
+
+    def _write_batch(self, cells: list, kind: str) -> tuple[int, int] | None:
+        """:meth:`program`'s numpy pass: each pulse of the batch as
+        :meth:`program_cell` computes it, elementwise.
+
+        Returns None, having drawn nothing, unless every cell is a triple of
+        plain ints (a target may also be a bool or a ``CellState``) naming a
+        distinct cell in range with a writable target.  Curve energies come
+        from ``np.interp``, the call ``stored_energy_nj`` makes, and the noise
+        factor from ``math.exp`` per pulse, as the kernel computes them.  If
+        ``math.exp`` overflows or the ledger refuses the energies, the drawn
+        values are put back in front of ``_draws`` and None is returned, so the
+        loop pulses, writes and raises as it would have (the generators then
+        stand further ahead than the loop would leave them, with the same
+        values to come).
+        """
+        (rows_n, cols_n, windows, p_success, shortcut, spread, sigma, shift,
+         gs, es, _, lo0, hi0, lo1, hi1) = self.config._pulse
+        try:
+            if set(map(len, cells)) != {3}:
+                return None
+            rows, cols, targets = zip(*cells)
+            if set(map(type, rows + cols)) != {int} or not set(map(type, targets)) <= _TARGET_TYPES:
+                return None
+            rows, cols, targets = (np.fromiter(v, np.int64, len(v)) for v in (rows, cols, targets))
+        except (TypeError, OverflowError):  # a cell without a length, an int beyond int64
+            return None
+        if not ((0 <= rows) & (rows < rows_n) & (0 <= cols) & (cols < cols_n)
+                & ((targets == _STATE0) | (targets == _STATE1))).all():
+            return None
+        flat = np.sort(rows * cols_n + cols)
+        if (flat[1:] == flat[:-1]).any():  # a cell twice
+            return None
+        held = self.state[rows, cols] == targets
+        pulsed = np.flatnonzero(~held)
+        k = pulsed.size
+        rows, cols = rows[pulsed], cols[pulsed]
+        window = np.array([windows[_STATE0], windows[_STATE1]])[targets[pulsed]]
+        lo, hi, nominal, p_lo, p_hi = window.T
+        start = self.conductance[rows, cols]
+        draws = np.fromiter(chain.from_iterable(islice(self._draws, k)), float, 4 * k)
+        success, landing, miss, noise = draws.reshape(k, 4).T
+        if not shortcut:
+            final = nominal
+        else:
+            # The kernel's two triangular landings; only u == 0 lands on lo.
+            below = np.where(landing > 0.0, nominal - np.sqrt((1.0 - landing) * p_lo), lo)
+            final = np.where(start < lo, below, nominal + np.sqrt(landing * p_hi))
+        final = np.where(success < p_success, final, nominal + spread * miss)
+        final = np.where(final < gs[0], gs[0], np.where(final > gs[-1], gs[-1], final))
+        # stored_energy_nj elementwise: the kernel inlines its arithmetic.
+        energy = np.abs(np.interp(final, gs, es) - np.interp(start, gs, es))
+        try:
+            if sigma != 0:
+                energy *= np.array(list(map(math.exp, (shift + sigma * noise).tolist())))
+            self.ledger.record_all(kind, energy)
+        except (OverflowError, ValueError):
+            self._draws = chain(map(tuple, draws.reshape(k, 4).tolist()), self._draws)
+            return None
+        self.conductance[rows, cols] = final
+        self.state[rows, cols] = np.where(
+            (lo0 <= final) & (final <= hi0), _STATE0,
+            np.where((lo1 <= final) & (final <= hi1), _STATE1, _INDETERMINATE),
+        )
+        landed = np.count_nonzero(held) + np.count_nonzero((lo <= final) & (final <= hi))
+        return len(cells), int(landed)
 
     def read_columns(self, drive: Sequence[int]) -> np.ndarray:
         """Column currents (uA) under a signed row drive, logging read energy.

@@ -206,15 +206,55 @@ def _same_generators(a, b) -> bool:
             and a.normal_rng.bit_generator.state == b.normal_rng.bit_generator.state)
 
 
+def _assert_same_crossbars(a, b):
+    """Equal conductance, sensed grid and ledger totals, the same blocks
+    drawn, and the same next pulse's draws (which each takes)."""
+    assert np.array_equal(a.conductance, b.conductance)
+    assert np.array_equal(a.state, b.state)
+    assert a.ledger._totals == b.ledger._totals
+    assert _same_generators(a, b)
+    assert next(a._draws) == next(b._draws)
+
+
+def _lead():
+    """``_BATCH_MIN`` distinct valid cells on rows 10 and up, alternately low and high."""
+    cols = DeviceConfig().cols
+    return [(10 + i // cols, i % cols, CellState(i % 2)) for i in range(device_module._BATCH_MIN)]
+
+
+def _result(call):
+    """What a call returned, or the type and message of what it raised."""
+    try:
+        return "returned", call()
+    except Exception as error:  # compared, not handled
+        return type(error), str(error)
+
+
 @DEVICE_VARIANTS
 def test_program_batch_equals_cell_by_cell_writes(overrides):
-    cfg = DeviceConfig(**overrides)  # every variant has failed writes
+    _assert_batches_equal_cell_by_cell_writes(DeviceConfig(**overrides))
+
+
+@DEVICE_VARIANTS
+def test_program_batch_across_draw_blocks_equals_cell_by_cell_writes(monkeypatch, overrides):
+    monkeypatch.setattr(device_module, "_DRAW_BLOCK", 5)  # each batch crosses many blocks
+    _assert_batches_equal_cell_by_cell_writes(DeviceConfig(**overrides))
+
+
+def _assert_batches_equal_cell_by_cell_writes(cfg):
+    """Batches long enough for the numpy pass leave what the same writes
+    made one ``program_cell`` call at a time leave; every variant of
+    ``DEVICE_VARIANTS`` has failed writes."""
     rng = np.random.default_rng(4)
     batch, single = new_crossbar(cfg, seed=7), new_crossbar(cfg, seed=7)
     for xb in (batch, single):  # some cells already high, one in the dead zone
         for col in range(0, cfg.cols, 3):
             xb.program_cell(col % cfg.rows, col, CellState.STATE1, "init")
         xb.inject_fault(5, 5, 45.0)
+        xb.inject_fault(6, 6, 0.0)  # the curve's first anchor
+        xb.inject_fault(7, 7, 160.0)  # beyond the curve's end
+    # Every batch below takes the numpy pass.
+    batch.program_cell = None
     # One batch of each kind, then more "program" batches until one has a
     # write that missed its window: at p = 0.99 a batch may have none.
     missed = False
@@ -228,18 +268,16 @@ def test_program_batch_equals_cell_by_cell_writes(overrides):
             (int(k) // cfg.cols, int(k) % cfg.cols, CellState(int(v)))
             for k, v in zip(order, targets)
         ]
+        assert len(cells) >= device_module._BATCH_MIN
         held = sum(batch.state[row, col] == target for row, col, target in cells)
         assert 0 < held < len(cells)
         counts = batch.program(cells, kind)
         outcomes = [single.program_cell(row, col, target, kind) for row, col, target in cells]
         assert counts == (len(cells), sum(out.landed_in_window for out in outcomes))
+        assert type(counts[1]) is int
         missed = missed or counts[1] < counts[0]
-        assert np.array_equal(batch.conductance, single.conductance)
-        assert np.array_equal(batch.state, single.state)
-        assert batch.ledger._totals == single.ledger._totals
-        assert _same_generators(batch, single)
+        _assert_same_crossbars(batch, single)
     assert missed  # some writes missed their window
-    assert next(batch._draws) == next(single._draws)
     assert batch.program([], "init") == (0, 0)
 
 
@@ -256,23 +294,42 @@ def test_program_batch_from_a_generator_equals_the_list():
     assert _same_generators(listed, generated)
 
 
-@pytest.mark.parametrize(
-    "cell, kind",
-    [
-        ((0, 0, CellState.STATE0), "flip"),
-        ((99, 0, CellState.STATE0), "program"),
-        ((0, 16, CellState.STATE1), "program"),
-        ((-1, 0, CellState.STATE0), "program"),
-        ((0, 0, CellState.INDETERMINATE), "program"),
-        ((5, 5, CellState.INDETERMINATE), "init"),  # a cell that holds INDETERMINATE
-        ((0, 0, 7), "program"),
-    ],
-)
+# Cells (with a kind) that program_cell refuses.
+_REFUSED = [
+    ((0, 0, CellState.STATE0), "flip"),
+    ((99, 0, CellState.STATE0), "program"),
+    ((0, 16, CellState.STATE1), "program"),
+    ((-1, 0, CellState.STATE0), "program"),
+    ((0, 0, CellState.INDETERMINATE), "program"),
+    ((5, 5, CellState.INDETERMINATE), "init"),  # a cell that holds INDETERMINATE
+    ((0, 0, 7), "program"),
+    ((1.0, 0, CellState.STATE1), "program"),  # a float coordinate
+    ((0, 0, "1"), "program"),  # a string target
+]
+
+
+@pytest.mark.parametrize("cell, kind", _REFUSED)
 def test_program_batch_raises_what_program_cell_raises(cell, kind):
     xb = new_crossbar(DeviceConfig(), seed=1)
     xb.inject_fault(5, 5, 45.0)
     expected = _raised(lambda: xb.program_cell(*cell, kind))
     assert _raised(lambda: xb.program([(1, 1, CellState.STATE0), cell], kind)) == expected
+    # At the end of a batch long enough for the numpy pass.
+    assert _raised(lambda: xb.program(_lead() + [cell], kind)) == expected
+
+
+@pytest.mark.parametrize(
+    "cell, kind", _REFUSED + [((10, 0, CellState.STATE1), "init")],  # (10, 0) is in the lead too
+)
+def test_a_long_batch_the_loop_refuses_leaves_what_the_loop_leaves(monkeypatch, cell, kind):
+    batch, loop = new_crossbar(DeviceConfig(), seed=2), new_crossbar(DeviceConfig(), seed=2)
+    for xb in (batch, loop):
+        xb.inject_fault(5, 5, 45.0)
+    cells = _lead() + [cell]
+    got = _result(lambda: batch.program(cells, kind))
+    monkeypatch.setattr(device_module, "_BATCH_MIN", len(cells) + 1)
+    assert _result(lambda: loop.program(cells, kind)) == got
+    _assert_same_crossbars(batch, loop)
 
 
 @pytest.mark.parametrize(
@@ -453,6 +510,40 @@ def test_ledger_rejects_nan_and_unknown_kinds():
     assert ledger.total_nj() == 1.5
 
 
+def test_ledger_refuses_an_entry_that_overflows_its_total():
+    ledger = EnergyLedger()
+    ledger.record("init", 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        ledger.record("init", 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        ledger.record_all("init", np.array([1.0, 1e308]))
+    assert ledger.init_energy_nj == 1e308
+    ledger.record_all("program", np.array([0.1, 0.2, 0.3]))
+    assert ledger.program_energy_nj == (0.1 + 0.2) + 0.3  # added left to right
+    with pytest.raises(ValueError, match="non-negative"):
+        ledger.record_all("program", np.array([1.0, math.nan]))
+    assert ledger.program_energy_nj == (0.1 + 0.2) + 0.3
+
+
+def test_reads_of_a_full_array_of_large_faults_stop_before_the_total_overflows():
+    cfg = DeviceConfig()
+    xb = new_crossbar(cfg, seed=1)
+    g = 3.51e305  # near the largest fault conductance inject_fault accepts
+    for row in range(cfg.rows):
+        for col in range(cfg.cols):
+            xb.inject_fault(row, col, g)
+    drive = np.ones(cfg.rows, dtype=int)
+    for reads in range(1, 20_000):
+        before = xb.ledger.inference_energy_nj
+        try:
+            xb.read_columns(drive)
+        except ValueError as error:
+            assert "overflows" in str(error)
+            break
+    assert reads > 10_000  # every read's own entry is finite
+    assert xb.ledger.inference_energy_nj == before < math.inf
+
+
 def _reference_program_cell(xb, row, col, target, kind):
     """A write made with numpy's own triangular, normal and lognormal calls,
     and its energy with ``np.interp`` (``stored_energy_nj``).
@@ -577,6 +668,8 @@ def test_a_crossbar_that_is_never_written_draws_nothing():
         ((0, 0, CellState.STATE1, "flip"), ValueError),
         ((0, 0, CellState.INDETERMINATE), ValueError),
         ((0, 0, 7), ValueError),
+        ((1.0, 0, CellState.STATE1), TypeError),
+        ((0, 0, "1"), ValueError),
     ],
 )
 def test_a_refused_write_draws_nothing(args, error):
@@ -587,9 +680,43 @@ def test_a_refused_write_draws_nothing(args, error):
         xb.program([args[:3]], *args[3:])
     assert _same_generators(xb, twin)  # no block drawn
     assert xb.ledger._totals == twin.ledger._totals
+    # At the end of a batch long enough for the numpy pass, it draws nothing
+    # beyond the pulses the loop makes before it (none for a refused kind).
+    with pytest.raises(error):
+        xb.program(_lead() + [args[:3]], *args[3:])
+    if args[3:] != ("flip",):
+        for cell in _lead():
+            twin.program_cell(*cell)
     # After a pulse on each, the next draws agree: the refusals took no value either.
     assert xb.program_cell(1, 1, CellState.STATE1) == twin.program_cell(1, 1, CellState.STATE1)
-    assert next(xb._draws) == next(twin._draws)
+    _assert_same_crossbars(xb, twin)
+
+
+@pytest.mark.parametrize(
+    "curve_scale, nan_start, message",
+    [(1.0, True, "non-negative"), (1e307, False, "overflows")],
+)
+def test_a_batch_whose_energies_the_ledger_refuses_writes_what_the_loop_writes(
+    monkeypatch, curve_scale, nan_start, message
+):
+    # A NaN start's energy is refused; scaled up, the default curve's swings
+    # add past the largest float within a few writes.
+    curve = tuple((g, e * curve_scale) for g, e in device_module.DEFAULT_ENERGY_CURVE)
+    cfg = DeviceConfig(energy_curve=curve)
+    batch, loop = new_crossbar(cfg, seed=5), new_crossbar(cfg, seed=5)
+    if nan_start:  # (10, 9) is a high target of the lead, its fifth pulse
+        for xb in (batch, loop):
+            xb.conductance[10, 9] = math.nan  # bypasses the sensed grid: it stays STATE0
+    cells = _lead()
+    got = _result(lambda: batch.program(cells, "init"))
+    assert got[0] is ValueError and message in got[1]
+    monkeypatch.setattr(device_module, "_BATCH_MIN", len(cells) + 1)
+    assert _result(lambda: loop.program(cells, "init")) == got
+    assert math.isfinite(batch.ledger.init_energy_nj)
+    assert np.array_equal(batch.conductance, loop.conductance, equal_nan=True)
+    assert np.array_equal(batch.state, loop.state)
+    assert batch.ledger._totals == loop.ledger._totals
+    assert next(batch._draws) == next(loop._draws)
 
 
 def test_ledger_completeness_and_determinism():

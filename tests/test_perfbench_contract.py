@@ -1,10 +1,12 @@
 """The names the benchmark harness wraps must exist where it looks them up.
 
 `perfbench/spans.py` patches public callables in the namespace of their
-caller; a renamed or deleted one, or a write path that no longer goes
-through `Crossbar.program_cell`, would only show up as a malformed benchmark
+caller; a renamed or deleted one would only show up as a malformed benchmark
 result, so these tests resolve every target and compute the per-layer
-metrics here instead, and count the write pulses the spans divide by.
+metrics here instead.  A batch of fewer than `device._BATCH_MIN` cells
+pulses through `Crossbar.program_cell`, one `EnergyLedger.record` per pulse;
+a larger one is written by a numpy pass that neither span sees.  The tests
+count the write pulses the spans divide by on both paths.
 """
 
 import importlib
@@ -16,6 +18,7 @@ import numpy as np
 
 import ising_reram.bench
 import ising_reram.cnf
+import ising_reram.device
 import ising_reram.solver
 from ising_reram import (
     CellState,
@@ -98,6 +101,50 @@ def test_traced_solves_give_every_per_layer_metric():
     # Nothing in the program calls classify_grid.
     idle = {prefix for prefix, span in tracer.spans.items() if not span.calls}
     assert idle <= {"device.classify_grid"}
+
+
+def _traced_solve(cnf, device, config):
+    """A solve under the benchmark's tracer: its report JSON and the tracer."""
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        text = ising_reram.solver.report_to_json(ising_reram.solver.run(cnf, device, config))
+    finally:
+        tracer.uninstall()
+    return text, tracer
+
+
+def test_traced_solve_whose_init_takes_the_numpy_pass(monkeypatch):
+    cnf = random_3sat(13, 40, 2)
+    device = DeviceConfig(rows=120, cols=240)
+    config = SolverConfig(restarts=2, max_iters=4, profile_iterations=True)
+    text, tracer = _traced_solve(cnf, device, config)
+    report = json.loads(text)
+    traces = [dict(zip(report["trace_fields"], row)) for restart in report["traces"]
+              for row in restart]
+    metrics = tracer.metrics(
+        solves=1,
+        iterations=len(traces),
+        flips=sum(len(tr["flipped"]) for tr in traces),
+        cells_targeted=sum(tr["cells_targeted"] for tr in traces),
+    )
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert tracer.missing == []
+    assert {entry["name"] for entry in per_layer} <= set(metrics)
+    # Every init write is a pulse of the numpy pass; the flip batches are short.
+    init_pulses = config.restarts * int(np.count_nonzero(adjacency_matrix(build_graph(cnf))))
+    assert init_pulses > config.restarts * ising_reram.device._BATCH_MIN
+    pulses = tracer.spans["device.program_cell"].calls
+    assert pulses == tracer.pulses + tracer.skipped > 0
+    assert 0 < metrics["device.write_landed_ratio"]["value"] <= 1
+    # The per-pulse path alone writes the same, and its spans see the init pulses too.
+    monkeypatch.setattr(ising_reram.device, "_BATCH_MIN", device.rows * device.cols + 1)
+    per_pulse_text, per_pulse = _traced_solve(cnf, device, config)
+    assert per_pulse_text == text
+    assert per_pulse.spans["device.program_cell"].calls == pulses + init_pulses
+    assert per_pulse.spans["device.ledger_record"].calls == (
+        tracer.spans["device.ledger_record"].calls + init_pulses
+    )
 
 
 def _count_pulses(monkeypatch):

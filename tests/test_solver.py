@@ -419,6 +419,30 @@ def test_draw_block_size_changes_no_output(monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_batch_threshold_changes_no_output(monkeypatch):
+    # Threshold 1 sends every batch through the numpy pass, the default only
+    # the init batches, and one above every batch none.
+    cnf = random_3sat(13, 40, 5)
+    device = DeviceConfig(rows=120, cols=240, p_cell_success=0.9)
+    config = SolverConfig(restarts=2, max_iters=40, seed=5, profile_iterations=True)
+    new_crossbar_ = solver_module.new_crossbar
+    outputs = []
+    for threshold in (1, device_module._BATCH_MIN, 120 * 240 + 1):
+        crossbars = []
+
+        def recording_crossbar(*args):
+            crossbars.append(new_crossbar_(*args))
+            return crossbars[-1]
+
+        monkeypatch.setattr(device_module, "_BATCH_MIN", threshold)
+        monkeypatch.setattr(solver_module, "new_crossbar", recording_crossbar)
+        text = report_to_json(run(cnf, device, config))
+        outputs.append((text, [(xb.conductance.tobytes(), xb.state.tobytes(), xb.ledger._totals,
+                                next(xb._draws)) for xb in crossbars]))
+    assert len(outputs[0][1]) == config.restarts
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def _stdlib_report_json(report):
     return json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
 
