@@ -84,11 +84,12 @@ def kernel_energy_report(
     """Initialize/flip energy statistics for every fundamental sub-matrix.
 
     Per trial and kernel: a fresh array is programmed with the kernel pattern,
-    a +1 weight per position, in one batch (phase "initialize"), then the
-    first column's weights are inverted in a second batch (phase
-    "program-iteration", two cell writes per pair).  Each pair (2c, 2c+1) is
-    written positive cell first.  Means and standard deviations are taken over
-    the trials.  A device too small for the patterns raises MappingError.
+    a +1 weight per position, by one ``Crossbar.program_high`` call on the
+    positive cells (r, 2c+1) (phase "initialize"), then the first column's
+    weights are inverted in one ``Crossbar.program`` batch (phase
+    "program-iteration", two cell writes per pair, positive cell first).  Means
+    and standard deviations are taken over the trials.  A device too small for
+    the patterns raises MappingError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -100,8 +101,8 @@ def kernel_energy_report(
         flip_samples = []
         for trial in range(trials):
             xb = new_crossbar(device_config, derive_seed(seed, k_idx, trial))
-            init = [cell for r, c in pattern for cell in ((r, 2 * c + 1, 1), (r, 2 * c, 0))]
-            xb.program(init, "init")
+            # A fresh array holds every low cell already: init pulses the high ones.
+            xb.program_high([r for r, _ in pattern], [2 * c + 1 for _, c in pattern])
             init_samples.append(xb.ledger.init_energy_nj)
             xb.program([cell for r, c in pattern if c == 0 for cell in ((r, 1, 0), (r, 0, 1))])
             flip_samples.append(xb.ledger.program_energy_nj)
@@ -178,7 +179,6 @@ def sublinearity_check(
     instance: Cnf,
     device_config: DeviceConfig,
     seed: int = 0,
-    solver_config: SolverConfig | None = None,
     iters: int = 10,
     kernel_trials: int = 20,
 ) -> tuple[float, float]:
@@ -189,19 +189,18 @@ def sublinearity_check(
     initialization per clause, two inconn initializations per coupled clause
     pair (the symmetric adjacency matrix holds both off-diagonal blocks), and
     per executed node flip one core column flip plus one inconn column flip
-    per conflict edge of that node.  The measured value is the
-    execute energy of an actual run under the given device config, so with the
-    default shortcut model the measurement comes in below the prediction,
-    and with shortcut writes disabled the two agree up to write noise.
+    per conflict edge of that node.  The measured value is the execute energy
+    of an actual run under the given device config and the default
+    ``SolverConfig``, so with the default shortcut model the measurement comes
+    in below the prediction, and with shortcut writes disabled the two agree
+    up to write noise.
 
     ``iters=0`` counts only the initialization of the same run (same seed, same
     array) that ``iters > 0`` measures; its one iteration is not counted.
     """
-    solver_config = solver_config or SolverConfig()
     graph = build_graph(instance)
-    report = _suite_run(
-        instance, device_config, solver_config, iters or 1, derive_seed(seed, 0xF11)
-    )
+    report = _suite_run(instance, device_config, SolverConfig(), iters or 1,
+                        derive_seed(seed, 0xF11))
     measured = report.totals["execute_energy_nj" if iters else "init_energy_nj"]
     counted = report.traces if iters else []  # the init-only run's iteration is not counted
     flip_events = [node for traces in counted for tr in traces for node in tr.flipped]

@@ -26,12 +26,12 @@ cell, kept up to date by ``program_cell`` and ``inject_fault`` so that reading
 it costs no pass over ``conductance``.  Assigning to ``conductance`` directly
 bypasses it.
 
-``Crossbar.program`` writes an ordered batch of cells in one call: a cell that
-already holds its target costs nothing and issues no pulse.  A batch of fewer
-than ``_BATCH_MIN`` cells pulses every other cell through ``program_cell`` in
-order; a larger one is written in one numpy pass that takes the same draws,
-computes the same bits and adds the same ledger entries to the totals in the
-same order, so the threshold changes no output.
+``Crossbar`` has two write entries.  ``program`` writes an ordered batch of
+(row, col, target) cells through ``program_cell``, skipping a cell that holds
+its target at no cost and with no draw.  ``program_high`` initializes a blank
+array, writing STATE1 to distinct cells as ``program_cell`` would; at
+``_BATCH_MIN`` cells or more it makes one numpy pass with the same draws,
+bits and ledger totals, so the threshold changes no output.
 
 Every pulse takes exactly four random numbers, whether its branch uses them
 or not: two uniforms from ``Crossbar.rng`` (success, then landing) and two
@@ -41,21 +41,17 @@ of ``_DRAW_BLOCK`` values on the first pulse that needs them, so a crossbar
 that is never written draws nothing; numpy fills an array draw element by
 element with its scalar routine, so the block size changes no number, and a
 pulse's four values are the next four scalar draws of the two generators.
-A numpy batch of k pulses takes the next k of them, as k pulses would.
+The numpy pass over k cells takes the next k of them, as k pulses would.
 
-``program_cell`` is the per-pulse kernel, and the reference the numpy batch
-is tested against.  Every constant it reads that
-derives from the config (array shape, both target windows with their
-triangular products, the write statistics, the noise sigma and its
--sigma**2/2 shift, the curve anchors and slopes, the window bounds) comes
-from one tuple cached on the frozen ``DeviceConfig``; the draws,
-conductance, sensed grid and ledger are read from the crossbar on every call.
-Each of its pulses is one ledger entry; a numpy batch makes one
-``EnergyLedger.record_all`` call, so spans that wrap ``program_cell`` and
-``EnergyLedger.record`` see the small batches' pulses only.
-On a 2-vCPU host a pulse takes about 2.1 us (best of 30 rounds of 20,000
-calls into a 200x200 array); with three scalar generator calls per pulse in
-place of one ``next()`` on the block iterators it took about 3.3 us.
+``program_cell`` is the per-pulse kernel and the numpy pass's reference.
+Every constant it reads that derives from the config (array shape, both
+target windows with their triangular products, the write statistics, the
+noise sigma and its -sigma**2/2 shift, the curve anchors and slopes, the
+window bounds) comes from one tuple cached on the frozen ``DeviceConfig``;
+the draws, conductance, sensed grid and ledger are read from the crossbar on
+every call.  Each of its pulses is one ledger entry; the numpy pass is one
+``EnergyLedger.record_all`` call, which spans on ``program_cell`` and
+``EnergyLedger.record`` do not see.
 """
 
 from __future__ import annotations
@@ -101,13 +97,8 @@ _STATE0, _STATE1, _INDETERMINATE = map(int, CellState)
 # (see the module docstring).
 _DRAW_BLOCK = 256
 
-
-# Batches of at least this many cells are written by one numpy pass (see the
-# module docstring); the threshold changes no number.
+# ``program_high`` writes this many cells or more in one numpy pass; it changes no number.
 _BATCH_MIN = 64
-
-# What a batch's targets may be for the numpy pass; the loop takes anything else.
-_TARGET_TYPES = {int, bool, CellState}
 
 
 def _blocks(draw) -> Iterator[float]:
@@ -177,14 +168,19 @@ class DeviceConfig:
             raise DeviceConfigError("energy_curve must be strictly increasing")
         if gs[0] != 0.0 or gs[-1] < self.g_state1 + self.tolerance:
             raise DeviceConfigError("energy_curve must start at 0 uS and span the operating range")
-        try:  # a read of every cell at the curve's end, multiplied in read_columns' order
-            read_nj = self.v_read ** 2 * (gs[-1] * self.rows * self.cols) * self.t_read * 1e3
+        try:  # a read of every cell at the curve's end
+            read_nj = self._read_energy_nj(gs[-1] * self.rows * self.cols)
         except OverflowError:
             read_nj = math.inf
         if not read_nj < math.inf:
             raise DeviceConfigError(f"v_read ** 2 * t_read overflows the read energy "
                                     f"(v_read {self.v_read!r}, t_read {self.t_read!r})")
         object.__setattr__(self, "energy_curve", tuple(curve))
+
+    def _read_energy_nj(self, conductance_us: float) -> float:
+        """Energy (nJ) of one read of cells whose conductances sum to
+        ``conductance_us``: V^2 * G * t_read, with uS * V^2 * s = 1e-6 J."""
+        return self.v_read ** 2 * conductance_us * self.t_read * 1e3
 
     @cached_property
     def _curve_segments(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
@@ -362,8 +358,8 @@ class Crossbar:
         The config's constants come from ``DeviceConfig._pulse``, computed once
         per config, and ``stored_energy_nj`` and ``classify_value`` are inlined
         with the same arithmetic, so a write gives the bits those calls would.
-        :meth:`program` pulses a batch of fewer than ``_BATCH_MIN`` cells
-        through here, one call and one ledger entry per pulse.
+        The write entries pulse through here, one call and one ledger entry
+        per pulse, except for :meth:`program_high`'s numpy pass.
         """
         (rows, cols, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, slopes, lo0, hi0, lo1, hi1) = self.config._pulse
@@ -420,31 +416,20 @@ class Crossbar:
     def program(
         self, cells: Iterable[tuple[int, int, int]], kind: str = "program"
     ) -> tuple[int, int]:
-        """Write an ordered batch of distinct (row, col, target) cells, from any iterable.
+        """Write an ordered batch of (row, col, target) cells, from any iterable.
 
-        Returns (cells targeted, cells in their target window afterwards).
-        The cells are read in full before the first write.  A cell already
-        holding its target is counted as landed with no pulse and no draw.
-        A target is a writable ``CellState`` (or 0/1, False/True).
-
-        A batch of fewer than ``_BATCH_MIN`` cells writes every other cell by
-        :meth:`program_cell` in the given order.  A larger one is written by
-        :meth:`_write_batch` in one numpy pass with the same draws, bits,
-        ledger totals and return value, unless the loop would refuse one of
-        its cells or see a cell twice: such a batch goes to the loop before
-        any draw, so it writes and raises as the loop does.
+        Returns (cells targeted, cells in their target window afterwards).  A
+        cell already holding its target is counted as landed with no pulse and
+        no draw; every other cell is written by :meth:`program_cell` in the
+        given order.  A target is a writable ``CellState`` (or 0/1, False/True).
         """
         _check_kind(kind)
-        cells = list(cells)
-        if len(cells) >= _BATCH_MIN:
-            counts = self._write_batch(cells, kind)
-            if counts is not None:
-                return counts
         rows, cols = self.config.rows, self.config.cols
         held = self.state.item
         write = self.program_cell
-        landed = 0
+        targeted = landed = 0
         for row, col, target in cells:
+            targeted += 1
             # Out-of-range cells and the indeterminate target fall through to
             # program_cell, which raises for them.
             in_range = 0 <= row < rows and 0 <= col < cols
@@ -452,73 +437,70 @@ class Crossbar:
                 landed += 1
             else:
                 landed += write(row, col, target, kind).landed_in_window
-        return len(cells), landed
+        return targeted, landed
 
-    def _write_batch(self, cells: list, kind: str) -> tuple[int, int] | None:
-        """:meth:`program`'s numpy pass: each pulse of the batch as
-        :meth:`program_cell` computes it, elementwise.
+    def program_high(self, rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
+        """Initialize a blank array: write STATE1 (kind "init") to the cells
+        (rows[i], cols[i]) in order, as :meth:`program_cell` would one by one.
 
-        Returns None, having drawn nothing, unless every cell is a triple of
-        plain ints (a target may also be a bool or a ``CellState``) naming a
-        distinct cell in range with a writable target.  Curve energies come
-        from ``np.interp``, the call ``stored_energy_nj`` makes, and the noise
-        factor from ``math.exp`` per pulse, as the kernel computes them.  If
-        ``math.exp`` overflows or the ledger refuses the energies, the drawn
-        values are put back in front of ``_draws`` and None is returned, so the
-        loop pulses, writes and raises as it would have (the generators then
-        stand further ahead than the loop would leave them, with the same
-        values to come).
+        ``rows`` and ``cols`` are integer arrays of one length, such as those of
+        ``np.nonzero``.  Returns (cells targeted, cells in the STATE1 window
+        afterwards).  Before any draw, raises IndexError for a cell out of
+        range and ValueError for a repeated cell or unless every cell senses
+        STATE0.
+
+        ``_BATCH_MIN`` cells or more are written in one numpy pass with the
+        kernel's draws, bits, ledger totals and counts: a cell that senses
+        STATE0 lies below the STATE1 window, so every cell pulses and a
+        shortcut write lands by triangular(lo, lo, nominal).  Curve energies
+        come from ``np.interp`` (``stored_energy_nj``), the noise factor from
+        ``math.exp`` per pulse.  If ``math.exp`` overflows or the ledger
+        refuses the energies, the draws are put back in front of ``_draws``
+        and the cells go to :meth:`program_cell`, which writes and raises as
+        it would have (only the generators' block positions stand further on).
         """
-        (rows_n, cols_n, windows, p_success, shortcut, spread, sigma, shift,
+        (_, _, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, _, lo0, hi0, lo1, hi1) = self.config._pulse
+        rows, cols = np.asarray(rows), np.asarray(cols)
         try:
-            if set(map(len, cells)) != {3}:
-                return None
-            rows, cols, targets = zip(*cells)
-            if set(map(type, rows + cols)) != {int} or not set(map(type, targets)) <= _TARGET_TYPES:
-                return None
-            rows, cols, targets = (np.fromiter(v, np.int64, len(v)) for v in (rows, cols, targets))
-        except (TypeError, OverflowError):  # a cell without a length, an int beyond int64
-            return None
-        if not ((0 <= rows) & (rows < rows_n) & (0 <= cols) & (cols < cols_n)
-                & ((targets == _STATE0) | (targets == _STATE1))).all():
-            return None
-        flat = np.sort(rows * cols_n + cols)
-        if (flat[1:] == flat[:-1]).any():  # a cell twice
-            return None
-        held = self.state[rows, cols] == targets
-        pulsed = np.flatnonzero(~held)
-        k = pulsed.size
-        rows, cols = rows[pulsed], cols[pulsed]
-        window = np.array([windows[_STATE0], windows[_STATE1]])[targets[pulsed]]
-        lo, hi, nominal, p_lo, p_hi = window.T
-        start = self.conductance[rows, cols]
-        draws = np.fromiter(chain.from_iterable(islice(self._draws, k)), float, 4 * k)
-        success, landing, miss, noise = draws.reshape(k, 4).T
-        if not shortcut:
-            final = nominal
-        else:
-            # The kernel's two triangular landings; only u == 0 lands on lo.
-            below = np.where(landing > 0.0, nominal - np.sqrt((1.0 - landing) * p_lo), lo)
-            final = np.where(start < lo, below, nominal + np.sqrt(landing * p_hi))
-        final = np.where(success < p_success, final, nominal + spread * miss)
-        final = np.where(final < gs[0], gs[0], np.where(final > gs[-1], gs[-1], final))
-        # stored_energy_nj elementwise: the kernel inlines its arithmetic.
-        energy = np.abs(np.interp(final, gs, es) - np.interp(start, gs, es))
-        try:
-            if sigma != 0:
-                energy *= np.array(list(map(math.exp, (shift + sigma * noise).tolist())))
-            self.ledger.record_all(kind, energy)
-        except (OverflowError, ValueError):
-            self._draws = chain(map(tuple, draws.reshape(k, 4).tolist()), self._draws)
-            return None
-        self.conductance[rows, cols] = final
-        self.state[rows, cols] = np.where(
-            (lo0 <= final) & (final <= hi0), _STATE0,
-            np.where((lo1 <= final) & (final <= hi1), _STATE1, _INDETERMINATE),
-        )
-        landed = np.count_nonzero(held) + np.count_nonzero((lo <= final) & (final <= hi))
-        return len(cells), int(landed)
+            flat = np.sort(np.ravel_multi_index((rows, cols), self.state.shape))
+        except ValueError:  # name the first cell out of range
+            for row, col in zip(rows.tolist(), cols.tolist()):
+                self._check_coords(row, col)
+            raise
+        if (flat[1:] == flat[:-1]).any():
+            raise ValueError("program_high writes each cell once: a cell is repeated")
+        if self.state.any():  # STATE0 is 0
+            raise ValueError("program_high programs a blank array: every cell must sense STATE0")
+        k = flat.size
+        if k >= _BATCH_MIN:
+            lo, hi, nominal, p_lo, _ = windows[_STATE1]
+            start = self.conductance[rows, cols]
+            draws = np.fromiter(chain.from_iterable(islice(self._draws, k)), float, 4 * k)
+            success, landing, miss, noise = draws.reshape(k, 4).T
+            if shortcut:  # triangular(lo, lo, nominal): only u == 0 lands on lo.
+                final = np.where(landing > 0.0, nominal - np.sqrt((1.0 - landing) * p_lo), lo)
+            else:
+                final = nominal
+            final = np.where(success < p_success, final, nominal + spread * miss)
+            final = np.where(final < gs[0], gs[0], np.where(final > gs[-1], gs[-1], final))
+            energy = np.abs(np.interp(final, gs, es) - np.interp(start, gs, es))
+            try:
+                if sigma != 0:
+                    energy *= np.array(list(map(math.exp, (shift + sigma * noise).tolist())))
+                self.ledger.record_all("init", energy)
+            except (OverflowError, ValueError):
+                self._draws = chain(map(tuple, draws.reshape(k, 4).tolist()), self._draws)
+            else:
+                self.conductance[rows, cols] = final
+                self.state[rows, cols] = np.where(
+                    (lo0 <= final) & (final <= hi0), _STATE0,
+                    np.where((lo1 <= final) & (final <= hi1), _STATE1, _INDETERMINATE),
+                )
+                return k, int(np.count_nonzero((lo <= final) & (final <= hi)))
+        write = self.program_cell
+        return k, sum(write(row, col, _STATE1, "init").landed_in_window
+                      for row, col in zip(rows.tolist(), cols.tolist()))
 
     def read_columns(self, drive: Sequence[int]) -> np.ndarray:
         """Column currents (uA) under a signed row drive, logging read energy.
@@ -537,14 +519,7 @@ class Crossbar:
         # A prefix drive (rows 0..k-1, as the solver drives) sums a view of
         # the same C-ordered cells the row copy would hold, in the same order.
         rows = self.conductance[:k] if driven[:k].all() else self.conductance[driven, :]
-        # uS * V^2 * s = 1e-6 J units; convert to nJ.
-        energy_nj = float(
-            self.config.v_read ** 2
-            * rows.sum()
-            * self.config.t_read
-            * 1e3
-        )
-        self.ledger.record("inference", energy_nj)
+        self.ledger.record("inference", float(self.config._read_energy_nj(rows.sum())))
         return currents
 
     def inject_fault(self, row: int, col: int, conductance: float) -> None:
@@ -560,7 +535,7 @@ class Crossbar:
             raise ValueError(f"fault conductance at cell ({row}, {col}) must be finite "
                              f"and non-negative, got {g!r}")
         cfg = self.config
-        if not cfg.v_read ** 2 * (g * cfg.rows * cfg.cols) * cfg.t_read * 1e3 < math.inf:
+        if not cfg._read_energy_nj(g * cfg.rows * cfg.cols) < math.inf:
             raise ValueError(f"fault conductance {g!r} at cell ({row}, {col}) overflows "
                              f"the read energy of a full {cfg.rows}x{cfg.cols} array")
         self.conductance[row, col] = g

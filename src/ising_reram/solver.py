@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import attrgetter
 from typing import Optional, Sequence
 
@@ -153,19 +152,17 @@ def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> None:
     its high cell, (i, 2j + 1) when s_j > 0 and (i, 2j) otherwise, pairs in
     node order with rows ascending: the pulses, draws and ledger entries of
     writing both cells of each pair.  Raises MappingError when the problem
-    needs more rows or columns than the device offers, and ValueError, before
-    any write, unless every cell of ``xb`` senses STATE0.
+    needs more rows or columns than the device offers, and ValueError
+    (``Crossbar.program_high``), before any write, unless every cell of
+    ``xb`` senses STATE0.
     """
     n = adj.shape[0]
     if adj.shape != (n, n):
         raise ValueError("adjacency matrix must be square")
     check_fits(n, xb.config)
-    if xb.state.any():  # STATE0 is 0
-        raise ValueError("map_problem programs a blank array: every cell must sense STATE0")
     # adj is symmetric, so row j lists column j's rows in ascending order.
     nodes, rows = np.nonzero(adj)
-    cols = 2 * nodes + (np.asarray(spins)[nodes] > 0)
-    xb.program(zip(rows.tolist(), cols.tolist(), repeat(1)), "init")  # 1 is STATE1
+    xb.program_high(rows, 2 * nodes + (np.asarray(spins)[nodes] > 0))
 
 
 def check_fits(n: int, config: DeviceConfig) -> None:

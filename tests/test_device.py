@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -242,43 +241,39 @@ def test_program_batch_across_draw_blocks_equals_cell_by_cell_writes(monkeypatch
 
 
 def _assert_batches_equal_cell_by_cell_writes(cfg):
-    """Batches long enough for the numpy pass leave what the same writes
-    made one ``program_cell`` call at a time leave; every variant of
-    ``DEVICE_VARIANTS`` has failed writes."""
+    """``program_high`` batches long enough for the numpy pass leave what one
+    ``program_cell(row, col, STATE1, "init")`` per cell leaves, on blank arrays
+    with starts across the STATE0 window; every variant of ``DEVICE_VARIANTS``
+    has failed writes."""
     rng = np.random.default_rng(4)
-    batch, single = new_crossbar(cfg, seed=7), new_crossbar(cfg, seed=7)
-    for xb in (batch, single):  # some cells already high, one in the dead zone
-        for col in range(0, cfg.cols, 3):
-            xb.program_cell(col % cfg.rows, col, CellState.STATE1, "init")
-        xb.inject_fault(5, 5, 45.0)
-        xb.inject_fault(6, 6, 0.0)  # the curve's first anchor
-        xb.inject_fault(7, 7, 160.0)  # beyond the curve's end
-    # Every batch below takes the numpy pass.
-    batch.program_cell = None
-    # One batch of each kind, then more "program" batches until one has a
-    # write that missed its window: at p = 0.99 a batch may have none.
+    lo0, hi0 = cfg.g_state0 - cfg.tolerance, cfg.g_state0 + cfg.tolerance
     missed = False
-    kinds = itertools.chain(("init", "program"), itertools.repeat("program", 30))
-    for batches, kind in enumerate(kinds, 1):
-        if missed and batches > 2:
+    for trial in range(30):
+        if missed and trial >= 2:
             break
-        order = rng.permutation(cfg.rows * cfg.cols)
-        targets = rng.integers(0, 2, size=order.size)
-        cells = [
-            (int(k) // cfg.cols, int(k) % cfg.cols, CellState(int(v)))
-            for k, v in zip(order, targets)
-        ]
-        assert len(cells) >= device_module._BATCH_MIN
-        held = sum(batch.state[row, col] == target for row, col, target in cells)
-        assert 0 < held < len(cells)
-        counts = batch.program(cells, kind)
-        outcomes = [single.program_cell(row, col, target, kind) for row, col, target in cells]
+        size = cfg.rows * cfg.cols
+        cells = rng.permutation(size)[: int(rng.integers(device_module._BATCH_MIN, size))]
+        rows, cols = cells // cfg.cols, cells % cfg.cols
+        # Starts on both edges, at the nominal and inside the STATE0 window.
+        starts = np.where(rng.random(cells.size) < 0.5, rng.uniform(lo0, hi0, cells.size),
+                          rng.choice([lo0, cfg.g_state0, hi0], cells.size))
+        batch, single = new_crossbar(cfg, seed=7 + trial), new_crossbar(cfg, seed=7 + trial)
+        for xb in (batch, single):
+            for row, col, start in zip(rows.tolist(), cols.tolist(), starts.tolist()):
+                xb.inject_fault(row, col, start)
+        assert not batch.state.any()  # still blank
+        batch.program_cell = None  # so the batch must take the numpy pass
+        counts = batch.program_high(rows, cols)
+        outcomes = [single.program_cell(row, col, CellState.STATE1, "init")
+                    for row, col in zip(rows.tolist(), cols.tolist())]
         assert counts == (len(cells), sum(out.landed_in_window for out in outcomes))
         assert type(counts[1]) is int
         missed = missed or counts[1] < counts[0]
         _assert_same_crossbars(batch, single)
     assert missed  # some writes missed their window
-    assert batch.program([], "init") == (0, 0)
+    fresh = new_crossbar(cfg, seed=7)
+    assert fresh.program_high(np.array([], int), np.array([], int)) == (0, 0)
+    assert _same_generators(fresh, new_crossbar(cfg, seed=7))
 
 
 def test_program_batch_from_a_generator_equals_the_list():
@@ -314,21 +309,25 @@ def test_program_batch_raises_what_program_cell_raises(cell, kind):
     xb.inject_fault(5, 5, 45.0)
     expected = _raised(lambda: xb.program_cell(*cell, kind))
     assert _raised(lambda: xb.program([(1, 1, CellState.STATE0), cell], kind)) == expected
-    # At the end of a batch long enough for the numpy pass.
+    # And at the end of a longer batch, after its writes.
     assert _raised(lambda: xb.program(_lead() + [cell], kind)) == expected
 
 
 @pytest.mark.parametrize(
     "cell, kind", _REFUSED + [((10, 0, CellState.STATE1), "init")],  # (10, 0) is in the lead too
 )
-def test_a_long_batch_the_loop_refuses_leaves_what_the_loop_leaves(monkeypatch, cell, kind):
+def test_a_long_batch_the_loop_refuses_leaves_what_the_loop_leaves(cell, kind):
+    # The loop here is one program_cell call per cell.
     batch, loop = new_crossbar(DeviceConfig(), seed=2), new_crossbar(DeviceConfig(), seed=2)
     for xb in (batch, loop):
         xb.inject_fault(5, 5, 45.0)
     cells = _lead() + [cell]
-    got = _result(lambda: batch.program(cells, kind))
-    monkeypatch.setattr(device_module, "_BATCH_MIN", len(cells) + 1)
-    assert _result(lambda: loop.program(cells, kind)) == got
+
+    def cell_by_cell():
+        outcomes = [loop.program_cell(*each, kind) for each in cells]
+        return len(cells), sum(out.landed_in_window for out in outcomes)
+
+    assert _result(lambda: batch.program(cells, kind)) == _result(cell_by_cell)
     _assert_same_crossbars(batch, loop)
 
 
@@ -680,8 +679,8 @@ def test_a_refused_write_draws_nothing(args, error):
         xb.program([args[:3]], *args[3:])
     assert _same_generators(xb, twin)  # no block drawn
     assert xb.ledger._totals == twin.ledger._totals
-    # At the end of a batch long enough for the numpy pass, it draws nothing
-    # beyond the pulses the loop makes before it (none for a refused kind).
+    # At the end of a longer batch, it draws nothing beyond the pulses made
+    # before it (none for a refused kind).
     with pytest.raises(error):
         xb.program(_lead() + [args[:3]], *args[3:])
     if args[3:] != ("flip",):
@@ -704,19 +703,46 @@ def test_a_batch_whose_energies_the_ledger_refuses_writes_what_the_loop_writes(
     curve = tuple((g, e * curve_scale) for g, e in device_module.DEFAULT_ENERGY_CURVE)
     cfg = DeviceConfig(energy_curve=curve)
     batch, loop = new_crossbar(cfg, seed=5), new_crossbar(cfg, seed=5)
-    if nan_start:  # (10, 9) is a high target of the lead, its fifth pulse
+    if nan_start:  # (10, 4) is the fifth cell written
         for xb in (batch, loop):
-            xb.conductance[10, 9] = math.nan  # bypasses the sensed grid: it stays STATE0
-    cells = _lead()
-    got = _result(lambda: batch.program(cells, "init"))
+            xb.conductance[10, 4] = math.nan  # bypasses the sensed grid: it stays STATE0
+    rows, cols = np.divmod(np.arange(device_module._BATCH_MIN) + 10 * cfg.cols, cfg.cols)
+    got = _result(lambda: batch.program_high(rows, cols))
     assert got[0] is ValueError and message in got[1]
-    monkeypatch.setattr(device_module, "_BATCH_MIN", len(cells) + 1)
-    assert _result(lambda: loop.program(cells, "init")) == got
+    monkeypatch.setattr(device_module, "_BATCH_MIN", len(rows) + 1)
+    assert _result(lambda: loop.program_high(rows, cols)) == got
     assert math.isfinite(batch.ledger.init_energy_nj)
     assert np.array_equal(batch.conductance, loop.conductance, equal_nan=True)
     assert np.array_equal(batch.state, loop.state)
     assert batch.ledger._totals == loop.ledger._totals
     assert next(batch._draws) == next(loop._draws)
+
+
+@pytest.mark.parametrize("length", [3, device_module._BATCH_MIN], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "extra, fault, error, message",
+    [
+        ((32, 0), None, IndexError, r"cell \(32, 0\) outside 32x16"),
+        ((11, -1), None, IndexError, r"cell \(11, -1\) outside 32x16"),
+        ((10, 1), None, ValueError, "repeated"),
+        (None, 70.0, ValueError, "blank array"),
+        (None, 45.0, ValueError, "blank array"),  # the dead zone
+    ],
+    ids=["row-out-of-range", "col-out-of-range", "repeated", "state1-cell", "dead-zone"],
+)
+def test_program_high_refuses_before_any_draw(extra, fault, error, message, length):
+    cfg = DeviceConfig()
+    xb, twin = new_crossbar(cfg, seed=6), new_crossbar(cfg, seed=6)
+    if fault is not None:
+        for each in (xb, twin):
+            each.inject_fault(0, 0, fault)
+    rows, cols = np.divmod(np.arange(length) + 10 * cfg.cols, cfg.cols)
+    if extra is not None:  # last, after cells that would pulse
+        rows, cols = np.append(rows, extra[0]), np.append(cols, extra[1])
+    with pytest.raises(error, match=message):
+        xb.program_high(rows, cols)
+    assert _same_generators(xb, twin)  # no block drawn
+    _assert_same_crossbars(xb, twin)
 
 
 def test_ledger_completeness_and_determinism():

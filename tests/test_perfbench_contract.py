@@ -3,10 +3,11 @@
 `perfbench/spans.py` patches public callables in the namespace of their
 caller; a renamed or deleted one would only show up as a malformed benchmark
 result, so these tests resolve every target and compute the per-layer
-metrics here instead.  A batch of fewer than `device._BATCH_MIN` cells
-pulses through `Crossbar.program_cell`, one `EnergyLedger.record` per pulse;
-a larger one is written by a numpy pass that neither span sees.  The tests
-count the write pulses the spans divide by on both paths.
+metrics here instead.  `Crossbar.program` pulses through
+`Crossbar.program_cell`, one `EnergyLedger.record` per pulse, and so does
+`Crossbar.program_high` under `device._BATCH_MIN` cells; a longer init is
+written by a numpy pass that neither span sees.  The tests count the write
+pulses the spans divide by on both paths.
 """
 
 import importlib

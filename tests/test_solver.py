@@ -284,14 +284,19 @@ def test_apply_flips_degree_one_node():
 def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
     # The write order fixes which device draws each cell gets.
     calls = []
-    program = Crossbar.program
+    program, program_high = Crossbar.program, Crossbar.program_high
 
     def recording_program(self, cells, kind="program"):
-        cells = list(cells)  # map_problem passes an iterator
+        cells = list(cells)
         calls.append((cells, kind))
         return program(self, cells, kind)
 
+    def recording_program_high(self, rows, cols):
+        calls.append((rows.tolist(), cols.tolist()))
+        return program_high(self, rows, cols)
+
     monkeypatch.setattr(Crossbar, "program", recording_program)
+    monkeypatch.setattr(Crossbar, "program_high", recording_program_high)
     adj = adjacency_matrix(build_graph(three_x))
     spins = np.array([1, -1, -1, 1, 1, -1])
     xb = new_crossbar(exact_device(rows=6, cols=12), seed=0)
@@ -303,8 +308,7 @@ def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
     # A blank array holds every low target already: init writes each pair's high cell.
     cols, rows = np.nonzero(adj.T)
     assert calls == [
-        ([(i, 2 * j + 1 if spins[j] > 0 else 2 * j, True)
-          for j, i in zip(cols.tolist(), rows.tolist())], "init")
+        (rows.tolist(), [2 * j + 1 if spins[j] > 0 else 2 * j for j in cols.tolist()])
     ]
     calls.clear()
     apply_flips(xb, spins, [5, 2], adj)
@@ -315,6 +319,38 @@ def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
             "program",
         )
     ]
+
+
+@pytest.mark.parametrize("instance", ["three_x", "m40"])
+def test_every_program_batch_of_a_solve_is_shorter_than_the_numpy_threshold(
+    monkeypatch, instance, three_x
+):
+    # Only the init of a blank array is long enough for program_high's numpy pass.
+    if instance == "three_x":
+        cnf, device = three_x, DeviceConfig(rows=6, cols=12)
+    else:
+        cnf, device = random_3sat(13, 40, 1), DeviceConfig(rows=120, cols=240)
+    programs, inits = [], []
+    program, program_high = Crossbar.program, Crossbar.program_high
+
+    def recording_program(self, cells, kind="program"):
+        cells = list(cells)
+        programs.append(len(cells))
+        return program(self, cells, kind)
+
+    def recording_program_high(self, rows, cols):
+        inits.append(len(rows))
+        return program_high(self, rows, cols)
+
+    monkeypatch.setattr(Crossbar, "program", recording_program)
+    monkeypatch.setattr(Crossbar, "program_high", recording_program_high)
+    config = SolverConfig(restarts=2, max_iters=100, seed=1)
+    report = run(cnf, device, config)
+    assert len(inits) == len(report.traces) > 0  # one init per restart run
+    assert sum(len(tr.flipped) for restart in report.traces for tr in restart) > 0
+    assert 0 < max(programs) < device_module._BATCH_MIN
+    if instance == "m40":
+        assert min(inits) >= device_module._BATCH_MIN
 
 
 def test_no_false_sat_under_extreme_noise():
@@ -420,8 +456,8 @@ def test_draw_block_size_changes_no_output(monkeypatch):
 
 
 def test_batch_threshold_changes_no_output(monkeypatch):
-    # Threshold 1 sends every batch through the numpy pass, the default only
-    # the init batches, and one above every batch none.
+    # Threshold 1 and the default send every init through the numpy pass,
+    # and one above every batch none.
     cnf = random_3sat(13, 40, 5)
     device = DeviceConfig(rows=120, cols=240, p_cell_success=0.9)
     config = SolverConfig(restarts=2, max_iters=40, seed=5, profile_iterations=True)
