@@ -39,7 +39,7 @@ device = ideal_config(rows=graph.num_nodes, cols=2 * graph.num_nodes)
 xb = new_crossbar(device, seed=3)
 rng = np.random.default_rng(3)
 spins = 2 * rng.integers(0, 2, graph.num_nodes) - 1
-map_problem(adj, spins, xb)
+map_problem(graph, spins, xb)
 
 print("=== Manual loop on 3-X (ideal device) ===")
 print(f"initial spins {spins}, energy {hamiltonian_energy(graph, spins, params):+.1f}")

@@ -30,8 +30,8 @@ bypasses it.
 (row, col, target) cells through ``program_cell``, skipping a cell that holds
 its target at no cost and with no draw.  ``program_high`` initializes a blank
 array, writing STATE1 to distinct cells as ``program_cell`` would; at
-``_BATCH_MIN`` cells or more it makes one numpy pass with the same draws,
-bits and ledger totals, so the threshold changes no output.
+``_BATCH_MIN`` cells or more on a fresh crossbar it makes one numpy pass with
+the same draws, bits and ledger totals, so the threshold changes no output.
 
 Every pulse takes exactly four random numbers, whether its branch uses them
 or not: two uniforms from ``Crossbar.rng`` (success, then landing) and two
@@ -41,7 +41,9 @@ of ``_DRAW_BLOCK`` values on the first pulse that needs them, so a crossbar
 that is never written draws nothing; numpy fills an array draw element by
 element with its scalar routine, so the block size changes no number, and a
 pulse's four values are the next four scalar draws of the two generators.
-The numpy pass over k cells takes the next k of them, as k pulses would.
+The numpy pass over k cells draws the ceil(2k / ``_DRAW_BLOCK``) blocks k
+pulses would, one array per stream, and leaves the values past the first 2k
+at the head of the stream, where k pulses would leave them.
 
 ``program_cell`` is the per-pulse kernel and the numpy pass's reference.
 Every constant it reads that derives from the config (array shape, both
@@ -61,7 +63,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -101,10 +103,11 @@ _DRAW_BLOCK = 256
 _BATCH_MIN = 64
 
 
-def _blocks(draw) -> Iterator[float]:
-    """The values of ``draw(_DRAW_BLOCK)``, ``draw(_DRAW_BLOCK)``, ... as plain
-    floats, one at a time; nothing is drawn before the first value is asked for."""
-    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(_DRAW_BLOCK))))
+def _blocks(draw, head: list) -> Iterator[float]:
+    """The floats of ``head``, then of ``draw(_DRAW_BLOCK)``, ``draw(_DRAW_BLOCK)``,
+    ..., one at a time; no block is drawn before its first value is asked for."""
+    blocks = map(np.ndarray.tolist, map(draw, repeat(_DRAW_BLOCK)))
+    return chain.from_iterable(chain((head,), blocks))
 
 
 def _check_kind(kind: str) -> None:
@@ -316,10 +319,17 @@ class Crossbar:
         self.state = np.full(self.conductance.shape, int(CellState.STATE0), dtype=np.int8)
         self.rng = substream(seed, 0xC3)
         self.normal_rng = substream(seed, 0xC3, 1)
-        uniforms, normals = _blocks(self.rng.random), _blocks(self.normal_rng.standard_normal)
-        # A pulse's draws: (success, landing) uniforms, (miss, energy noise) normals.
-        self._draws = zip(uniforms, uniforms, normals, normals)
+        # While rng is in this state no block is drawn: both streams draw on the same pulses.
+        self._undrawn = self.rng.bit_generator.state
+        self._stream([], [])
         self.ledger = EnergyLedger()
+
+    def _stream(self, uniforms: list, normals: list) -> None:
+        """Point ``_draws`` at the two block streams, each led by the values given."""
+        u = _blocks(self.rng.random, uniforms)
+        n = _blocks(self.normal_rng.standard_normal, normals)
+        # A pulse's draws: (success, landing) uniforms, (miss, energy noise) normals.
+        self._draws = zip(u, u, n, n)
 
     def _check_coords(self, row: int, col: int) -> None:
         if not (0 <= row < self.config.rows and 0 <= col < self.config.cols):
@@ -449,15 +459,17 @@ class Crossbar:
         range and ValueError for a repeated cell or unless every cell senses
         STATE0.
 
-        ``_BATCH_MIN`` cells or more are written in one numpy pass with the
-        kernel's draws, bits, ledger totals and counts: a cell that senses
-        STATE0 lies below the STATE1 window, so every cell pulses and a
-        shortcut write lands by triangular(lo, lo, nominal).  Curve energies
-        come from ``np.interp`` (``stored_energy_nj``), the noise factor from
-        ``math.exp`` per pulse.  If ``math.exp`` overflows or the ledger
-        refuses the energies, the draws are put back in front of ``_draws``
-        and the cells go to :meth:`program_cell`, which writes and raises as
-        it would have (only the generators' block positions stand further on).
+        On a crossbar that has drawn no block yet, as every fresh one,
+        ``_BATCH_MIN`` cells or more take one numpy pass of whole blocks (see
+        the module docstring) with the kernel's draws, bits, ledger totals and
+        counts: a cell that senses STATE0 lies below the STATE1 window, so every
+        cell pulses and a shortcut write lands by triangular(lo, lo, nominal).
+        Curve energies come from ``np.interp`` (``stored_energy_nj``), the noise
+        factor from ``math.exp`` per pulse.  If ``math.exp`` overflows or the
+        ledger refuses the energies, every value drawn goes back to the head of
+        the streams and, as for fewer cells or a crossbar that has drawn before,
+        :meth:`program_cell` writes cell by cell and raises as it would have
+        (only the generators' block positions stand further on).
         """
         (_, _, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, _, lo0, hi0, lo1, hi1) = self.config._pulse
@@ -473,11 +485,13 @@ class Crossbar:
         if self.state.any():  # STATE0 is 0
             raise ValueError("program_high programs a blank array: every cell must sense STATE0")
         k = flat.size
-        if k >= _BATCH_MIN:
+        if k >= _BATCH_MIN and self.rng.bit_generator.state == self._undrawn:
             lo, hi, nominal, p_lo, _ = windows[_STATE1]
             start = self.conductance[rows, cols]
-            draws = np.fromiter(chain.from_iterable(islice(self._draws, k)), float, 4 * k)
-            success, landing, miss, noise = draws.reshape(k, 4).T
+            size = -(-2 * k // _DRAW_BLOCK) * _DRAW_BLOCK
+            uniforms, normals = self.rng.random(size), self.normal_rng.standard_normal(size)
+            success, landing = uniforms[0 : 2 * k : 2], uniforms[1 : 2 * k : 2]
+            miss, noise = normals[0 : 2 * k : 2], normals[1 : 2 * k : 2]
             if shortcut:  # triangular(lo, lo, nominal): only u == 0 lands on lo.
                 final = np.where(landing > 0.0, nominal - np.sqrt((1.0 - landing) * p_lo), lo)
             else:
@@ -490,8 +504,9 @@ class Crossbar:
                     energy *= np.array(list(map(math.exp, (shift + sigma * noise).tolist())))
                 self.ledger.record_all("init", energy)
             except (OverflowError, ValueError):
-                self._draws = chain(map(tuple, draws.reshape(k, 4).tolist()), self._draws)
+                self._stream(uniforms.tolist(), normals.tolist())
             else:
+                self._stream(uniforms[2 * k :].tolist(), normals[2 * k :].tolist())
                 self.conductance[rows, cols] = final
                 self.state[rows, cols] = np.where(
                     (lo0 <= final) & (final <= hi0), _STATE0,

@@ -4,7 +4,7 @@ The crossbar stores the spin-signed adjacency matrix in differential column
 pairs: entry (i, j) is written as sign s_j when nodes i and j are adjacent.
 Node j sits on row j and on column pair (2j, 2j+1), negative cell first.
 ``map_problem`` programs a blank array (every cell STATE0), so its init
-pulses one high cell per adjacency entry, two per edge.
+pulses one high cell per adjacency entry, two per edge, and verifies only those.
 Each iteration reads the column currents under a row drive equal to the
 current spins, recovers the quadratic part of the per-node flip costs, applies
 the linear degree/reward bias digitally (the summer, threshold, q, and spin
@@ -32,10 +32,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cnf import Cnf
-from .device import Crossbar, DeviceConfig, new_crossbar
+from .device import _STATE1, Crossbar, DeviceConfig, new_crossbar
 from .ising import (
     HamiltonianParams,
     IsingGraph,
+    _check_spins,
     adjacency_matrix,
     build_graph,
     decode_solution,
@@ -144,25 +145,33 @@ def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:
     return (2 * rng.integers(0, 2, size=num_nodes) - 1).astype(np.int64)
 
 
-def map_problem(adj: np.ndarray, spins: Sequence[int], xb: Crossbar) -> None:
-    """Program the spin-signed adjacency matrix into a blank array (kind "init").
+def map_problem(graph: IsingGraph, spins: Sequence[int], xb: Crossbar) -> np.ndarray:
+    """Program the spin-signed adjacency matrix into a blank array (kind "init")
+    and return, per node, whether its column pair holds its pattern.
 
     Column j carries adj(i, j) * s_j in its differential pair.  A blank array
     already holds every STATE0 target, so each nonzero adj(i, j) pulses only
     its high cell, (i, 2j + 1) when s_j > 0 and (i, 2j) otherwise, pairs in
     node order with rows ascending: the pulses, draws and ledger entries of
-    writing both cells of each pair.  Raises MappingError when the problem
-    needs more rows or columns than the device offers, and ValueError
-    (``Crossbar.program_high``), before any write, unless every cell of
-    ``xb`` senses STATE0.
+    writing both cells of each pair, taken from the edge list.  Every other
+    cell still senses STATE0, so a pair holds its pattern when its written
+    cells sense STATE1.  Before any write, raises MappingError when the
+    problem needs more rows or columns than the device offers, and ValueError
+    unless ``spins`` holds one +1 or -1 per node and every cell of ``xb``
+    senses STATE0 (``Crossbar.program_high``).
     """
-    n = adj.shape[0]
-    if adj.shape != (n, n):
-        raise ValueError("adjacency matrix must be square")
+    n = graph.num_nodes
     check_fits(n, xb.config)
-    # adj is symmetric, so row j lists column j's rows in ascending order.
-    nodes, rows = np.nonzero(adj)
-    xb.program_high(rows, 2 * nodes + (np.asarray(spins)[nodes] > 0))
+    up = _check_spins(graph, spins) > 0
+    u, v = graph.edge_ends
+    # Entry adj(i, j) as the key j * n + i, both ends of every edge: sorted,
+    # they give np.nonzero(adj)'s order, node by node with rows ascending.
+    nodes, rows = np.divmod(np.sort(np.concatenate((v, u)) * n + np.concatenate((u, v))), n)
+    cols = 2 * nodes + up[nodes]
+    xb.program_high(rows, cols)
+    held = np.ones(n, dtype=bool)
+    held[nodes[xb.state[rows, cols] != _STATE1]] = False
+    return held
 
 
 def check_fits(n: int, config: DeviceConfig) -> None:
@@ -272,23 +281,17 @@ def apply_flips(
 
 
 def _columns_hold_pattern(
-    xb: Crossbar, adj: np.ndarray, spins: np.ndarray, nodes
+    xb: Crossbar, adj: np.ndarray, spins: np.ndarray, nodes: Sequence[int]
 ) -> np.ndarray:
-    """Per node in ``nodes`` (index list or slice): does its column pair classify
-    as the expected spin-signed pattern?
+    """Per node in ``nodes``: does its column pair classify as the expected
+    spin-signed pattern?
 
     Only a node's own writes and its own spin change what its pair holds and
     should hold, so after a flip only the flipped nodes need checking again.
-    For a list, each node's two state columns are compared on their own: the
-    column of its sign must hold adj[:, j] and the other one all STATE0.
+    The column of its sign must hold adj[:, j] (STATE1 is 1, STATE0 is 0)
+    and the other one all STATE0.
     """
     n = adj.shape[0]
-    # STATE1 is 1 and STATE0 is 0, so a boolean "holds a high cell" compares as the state.
-    if isinstance(nodes, slice):
-        pos = xb.state[:n, 1 : 2 * n : 2]
-        neg = xb.state[:n, 0 : 2 * n : 2]
-        weights = adj[:, nodes] * spins[nodes].astype(np.int8)  # int8: entries are -1, 0 or 1
-        return ((pos[:, nodes] == (weights > 0)) & (neg[:, nodes] == (weights < 0))).all(axis=0)
     state = xb.state[:n]
     held = []
     for j in nodes:
@@ -310,17 +313,18 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     iteration that flips nothing costs the q draw (one uniform) and one
     comparison, with no pass over delta.  The spread of the previous
     iteration's costs, which scales q_unit's annealing temperature, is taken
-    only on a non-greedy iteration and at most once per read.  Only the flipped
-    columns are verified again, and the all-columns verdict is refreshed only
-    after a flip.  That verdict is the iteration's accuracy: each cell an iteration
-    writes lies in a flipped column it verifies.  A verified assignment ends the run
+    only on a non-greedy iteration and at most once per read.  The columns'
+    verdict after init is ``map_problem``'s; then only the flipped columns are
+    verified again, and the all-columns verdict is refreshed only after a flip.
+    That verdict is the iteration's accuracy: each cell an iteration writes
+    lies in a flipped column it verifies.  A verified assignment ends the run
     with verdict SAT (unless ``profile_iterations`` is set, in which case every
     restart runs its full iteration budget and the first verified decode is
     reported at the end; only such runs have iterations after one with no flip).
     """
     graph = build_graph(cnf)
     adj = adjacency_matrix(graph)
-    degrees = adj.sum(axis=1).astype(np.int64)
+    degrees = np.bincount(np.concatenate(graph.edge_ends), minlength=graph.num_nodes)
     params = solver_config.hamiltonian
     profile = solver_config.profile_iterations
 
@@ -333,8 +337,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         srng = substream(solver_config.seed, restart, 0)
         spins = random_spins(graph.num_nodes, srng)
         xb = new_crossbar(device_config, derive_seed(solver_config.seed, restart, 1))
-        map_problem(adj, spins, xb)
-        pattern_ok = _columns_hold_pattern(xb, adj, spins, slice(None))
+        pattern_ok = map_problem(graph, spins, xb)
         pattern_all = bool(pattern_ok.all())
         traces: list[IterationTrace] = []
         prior_delta: Optional[np.ndarray] = None  # the previous iteration's delta

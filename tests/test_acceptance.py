@@ -82,7 +82,7 @@ def test_criterion_2_delta_oracle_equivalence():
         rng = np.random.default_rng(seed)
         spins = 2 * rng.integers(0, 2, n) - 1
         xb = new_crossbar(exact_device(rows=max(4, n), cols=2 * n), seed)
-        map_problem(adj, spins, xb)
+        map_problem(graph, spins, xb)
         delta = compute_delta(xb, spins, adj.sum(1), PARAMS)
         for j in range(n):
             cases += 1
@@ -98,7 +98,7 @@ def test_criterion_2_delta_oracle_equivalence():
         rng = np.random.default_rng(1000 + seed)
         spins = 2 * rng.integers(0, 2, n) - 1
         xb = new_crossbar(noisy, seed)
-        map_problem(adj, spins, xb)
+        map_problem(graph, spins, xb)
         degrees = adj.sum(1)
         delta = compute_delta(xb, spins, degrees, PARAMS)
         oracle = np.array([delta_oracle(graph, spins, PARAMS, j) for j in range(n)])
@@ -265,7 +265,7 @@ def test_criterion_8_pairwise_fault_tolerance():
         for i, j in ordered_pairs:
             for fault in ("00", "11", "invert"):
                 xb = new_crossbar(device, 1)
-                map_problem(adj, spins, xb)
+                map_problem(graph, spins, xb)
                 base = compute_delta(xb, spins, degrees, PARAMS)
                 w = int(spins[j])
                 hi, lo = device.g_state1, device.g_state0

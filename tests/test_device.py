@@ -276,6 +276,60 @@ def _assert_batches_equal_cell_by_cell_writes(cfg):
     assert _same_generators(fresh, new_crossbar(cfg, seed=7))
 
 
+# Per block size, three batch sizes k: 2k one below, equal to and one above a
+# multiple of the block (for an even block, one pulse below and above).
+_WHOLE_BLOCK_SIZES = {1: (64, 65, 66), 5: (67, 65, 68), device_module._DRAW_BLOCK: (127, 128, 129)}
+
+
+@DEVICE_VARIANTS
+@pytest.mark.parametrize("block", sorted(_WHOLE_BLOCK_SIZES))
+def test_whole_block_init_equals_cell_by_cell_writes(monkeypatch, overrides, block):
+    monkeypatch.setattr(device_module, "_DRAW_BLOCK", block)
+    cfg = DeviceConfig(**overrides)
+    for k in _WHOLE_BLOCK_SIZES[block]:
+        cells = np.random.default_rng(k).permutation(cfg.rows * cfg.cols)[:k]
+        rows, cols = np.divmod(cells, cfg.cols)
+        batch, single = new_crossbar(cfg, seed=k), new_crossbar(cfg, seed=k)
+        batch.program_cell = None  # so the batch must take the numpy pass
+        counts = batch.program_high(rows, cols)
+        outcomes = [single.program_cell(row, col, CellState.STATE1, "init")
+                    for row, col in zip(rows.tolist(), cols.tolist())]
+        assert counts == (k, sum(out.landed_in_window for out in outcomes))
+        # Both streams drew ceil(2k / block) blocks, the pulses' blocks.
+        twin = new_crossbar(cfg, seed=k)
+        twin.rng.random(-(-2 * k // block) * block)
+        twin.normal_rng.standard_normal(-(-2 * k // block) * block)
+        assert _same_generators(batch, twin)
+        _assert_same_crossbars(batch, single)
+        # The values left over lead the streams, for the pulses after them too.
+        for _ in range(block + 1):
+            assert next(batch._draws) == next(single._draws)
+
+
+def test_a_crossbar_that_has_pulsed_inits_cell_by_cell():
+    cfg = DeviceConfig()
+    xb, twin = new_crossbar(cfg, seed=3), new_crossbar(cfg, seed=3)
+    for each in (xb, twin):  # one pulse from the dead zone back into STATE0
+        each.inject_fault(0, 0, 45.0)
+        each.program_cell(0, 0, CellState.STATE0)
+    assert not xb.state.any()  # still blank
+    pulses = []
+    program_cell = xb.program_cell
+
+    def recording_program_cell(*args):
+        pulses.append(args)
+        return program_cell(*args)
+
+    xb.program_cell = recording_program_cell
+    rows, cols = np.divmod(np.arange(2 * device_module._BATCH_MIN) + 5 * cfg.cols, cfg.cols)
+    counts = xb.program_high(rows, cols)
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    assert pulses == [(row, col, CellState.STATE1, "init") for row, col in cells]
+    outcomes = [twin.program_cell(row, col, CellState.STATE1, "init") for row, col in cells]
+    assert counts == (len(cells), sum(out.landed_in_window for out in outcomes))
+    _assert_same_crossbars(xb, twin)
+
+
 def test_program_batch_from_a_generator_equals_the_list():
     cfg = DeviceConfig()
     cells = [(r, c, CellState((r + c) % 2)) for r in range(cfg.rows) for c in range(cfg.cols)]

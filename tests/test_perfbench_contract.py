@@ -182,11 +182,12 @@ def test_program_pulses_every_cell_not_held_through_program_cell(monkeypatch):
 
 
 def test_map_problem_and_apply_flips_pulse_each_cell_once(monkeypatch, three_x):
-    adj = adjacency_matrix(build_graph(three_x))
+    graph = build_graph(three_x)
+    adj = adjacency_matrix(graph)
     spins = np.array([1, -1, -1, 1, 1, -1])
     xb = new_crossbar(DeviceConfig(rows=6, cols=12), seed=0)
     pulses, records = _count_pulses(monkeypatch)
-    map_problem(adj, spins, xb)
+    map_problem(graph, spins, xb)
     # A fresh array holds STATE0 everywhere, so each edge pulses only its high cell.
     rows, cols = np.nonzero(adj)
     high = {(i, 2 * j + 1 if spins[j] > 0 else 2 * j) for i, j in zip(rows.tolist(), cols.tolist())}

@@ -50,7 +50,7 @@ def build_problem(cnf, seed=0, device=None):
     rng = np.random.default_rng(seed)
     spins = 2 * rng.integers(0, 2, n) - 1
     xb = new_crossbar(device, seed)
-    map_problem(adj, spins, xb)
+    map_problem(g, spins, xb)
     return g, adj, spins, xb
 
 
@@ -74,10 +74,9 @@ def test_map_problem_three_x_high_cells(three_x):
 def test_map_problem_dimension_error():
     cnf = random_3sat(6, 4, 0)  # 12 nodes need 24 columns
     g = build_graph(cnf)
-    adj = adjacency_matrix(g)
     xb = new_crossbar(DeviceConfig(), seed=0)
     with pytest.raises(MappingError):
-        map_problem(adj, np.ones(12, dtype=int), xb)
+        map_problem(g, np.ones(12, dtype=int), xb)
 
 
 def _two_cell_init(adj, spins, xb):
@@ -94,12 +93,13 @@ def _two_cell_init(adj, spins, xb):
 @pytest.mark.parametrize("instance", ["three_x", "m40"])
 def test_map_problem_equals_two_cell_batch_on_blank_array(overrides, instance, three_x):
     cnf = three_x if instance == "three_x" else random_3sat(13, 40, 8)
-    adj = adjacency_matrix(build_graph(cnf))
+    graph = build_graph(cnf)
+    adj = adjacency_matrix(graph)
     n = adj.shape[0]
     cfg = DeviceConfig(**{"rows": n, "cols": 2 * n, **overrides})
     spins = random_spins(n, np.random.default_rng(6))
     mapped, twin = new_crossbar(cfg, seed=5), new_crossbar(cfg, seed=5)
-    map_problem(adj, spins, mapped)
+    map_problem(graph, spins, mapped)
     _two_cell_init(adj, spins, twin)
     assert mapped.ledger.init_energy_nj > 0
     assert np.array_equal(mapped.conductance, twin.conductance)
@@ -112,20 +112,43 @@ def test_map_problem_equals_two_cell_batch_on_blank_array(overrides, instance, t
 
 @pytest.mark.parametrize("fault", [70.0, 45.0], ids=["state1-cell", "dead-zone"])
 def test_map_problem_refuses_an_array_that_is_not_blank(three_x, fault):
-    adj = adjacency_matrix(build_graph(three_x))
+    graph = build_graph(three_x)
     xb = new_crossbar(DeviceConfig(rows=6, cols=12), seed=0)
     xb.inject_fault(3, 7, fault)
     twin = new_crossbar(DeviceConfig(rows=6, cols=12), seed=0)
     totals = dict(xb.ledger._totals)
     conductance = xb.conductance.copy()
     with pytest.raises(ValueError, match="blank array"):
-        map_problem(adj, np.ones(6, dtype=int), xb)
+        map_problem(graph, np.ones(6, dtype=int), xb)
     # Neither generator has drawn a block, and the next pulse's draws are the first.
     assert xb.rng.bit_generator.state == twin.rng.bit_generator.state
     assert xb.normal_rng.bit_generator.state == twin.normal_rng.bit_generator.state
     assert next(xb._draws) == next(twin._draws)
     assert xb.ledger._totals == totals
     assert np.array_equal(xb.conductance, conductance)
+
+
+@pytest.mark.parametrize(
+    "spins, message",
+    [
+        (np.ones(12, dtype=int), r"shape \(12,\)"),
+        (np.ones(3, dtype=int), r"shape \(3,\)"),
+        ([1, -1, 0, 1, 1, -1], "-1 or \\+1"),
+        ([1, -1, 7, 1, 1, -1], "-1 or \\+1"),
+    ],
+    ids=["twelve-entries", "three-entries", "zero-entry", "seven-entry"],
+)
+def test_map_problem_refuses_a_malformed_spin_vector(three_x, spins, message):
+    cfg = DeviceConfig(rows=6, cols=12)
+    xb, twin = new_crossbar(cfg, seed=0), new_crossbar(cfg, seed=0)
+    with pytest.raises(ValueError, match=message):
+        map_problem(build_graph(three_x), spins, xb)
+    assert xb.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert xb.normal_rng.bit_generator.state == twin.normal_rng.bit_generator.state
+    assert xb.ledger._totals == twin.ledger._totals
+    assert np.array_equal(xb.conductance, twin.conductance)
+    assert np.array_equal(xb.state, twin.state)
+    assert next(xb._draws) == next(twin._draws)
 
 
 def test_compute_delta_matches_oracle_exactly_ideal():
@@ -145,7 +168,7 @@ def test_compute_delta_two_adjacent_nodes():
     adj = adjacency_matrix(g)
     xb = new_crossbar(exact_device(rows=4, cols=4), seed=0)
     spins = np.array([1, 1])
-    map_problem(adj, spins, xb)
+    map_problem(g, spins, xb)
     delta = compute_delta(xb, spins, adj.sum(1), PARAMS)
     assert list(delta) == [-1.0, -1.0]
 
@@ -155,7 +178,7 @@ def test_compute_delta_isolated_node():
     adj = adjacency_matrix(g)
     xb = new_crossbar(exact_device(rows=4, cols=4), seed=0)
     spins = np.array([-1])
-    map_problem(adj, spins, xb)
+    map_problem(g, spins, xb)
     delta = compute_delta(xb, spins, adj.sum(1), PARAMS)
     assert delta[0] == -PARAMS.b_pen
 
@@ -178,9 +201,21 @@ def test_compute_delta_noisy_in_window_bound():
         assert (np.abs(delta - oracle) <= bound + 1e-12).all()
 
 
+def _whole_array_pattern(xb, adj, spins):
+    """Per node, in one pass over the whole array: does its column pair
+    classify as the expected spin-signed pattern?  The oracle of the verdicts
+    that map_problem and _columns_hold_pattern read from fewer cells."""
+    n = adj.shape[0]
+    pos = xb.state[:n, 1 : 2 * n : 2]
+    neg = xb.state[:n, 0 : 2 * n : 2]
+    weights = adj * np.asarray(spins).astype(np.int8)  # int8: entries are -1, 0 or 1
+    # STATE1 is 1 and STATE0 is 0, so a boolean "holds a high cell" compares as the state.
+    return ((pos == (weights > 0)) & (neg == (weights < 0))).all(axis=0)
+
+
 def _pattern_ok(xb, adj, spins):
     """Do all mapped cells classify as the expected spin-signed pattern?"""
-    return bool(_columns_hold_pattern(xb, adj, spins, slice(None)).all())
+    return bool(_whole_array_pattern(xb, adj, spins).all())
 
 
 def test_q_unit_greedy_when_improving():
@@ -276,7 +311,7 @@ def test_apply_flips_degree_one_node():
     adj = adjacency_matrix(g)
     xb = new_crossbar(exact_device(rows=4, cols=4), seed=0)
     spins = np.array([1, 1])
-    map_problem(adj, spins, xb)
+    map_problem(g, spins, xb)
     targeted, _ = apply_flips(xb, spins, [1], adj)
     assert targeted == 2  # one adjacency pair
 
@@ -297,14 +332,15 @@ def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
 
     monkeypatch.setattr(Crossbar, "program", recording_program)
     monkeypatch.setattr(Crossbar, "program_high", recording_program_high)
-    adj = adjacency_matrix(build_graph(three_x))
+    graph = build_graph(three_x)
+    adj = adjacency_matrix(graph)
     spins = np.array([1, -1, -1, 1, 1, -1])
     xb = new_crossbar(exact_device(rows=6, cols=12), seed=0)
 
     def pair_cells(j, i):
         return [(i, 2 * j + 1, spins[j] > 0), (i, 2 * j, spins[j] < 0)]
 
-    map_problem(adj, spins, xb)
+    map_problem(graph, spins, xb)
     # A blank array holds every low target already: init writes each pair's high cell.
     cols, rows = np.nonzero(adj.T)
     assert calls == [
@@ -319,6 +355,20 @@ def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
             "program",
         )
     ]
+    # From the edge list, init pulses exactly the cells np.nonzero(adj) names, in its order.
+    sizes = [(3, 2), (6, 13), (13, 40), (50, 200)]  # (variables, clauses)
+    instances = [*paper_instances().values()] + [
+        random_3sat(n, m, seed) for seed, (n, m) in enumerate(sizes)
+    ]
+    for seed, cnf in enumerate(instances):
+        graph = build_graph(cnf)
+        n = graph.num_nodes
+        nodes, rows = np.nonzero(adjacency_matrix(graph))
+        spins = random_spins(n, np.random.default_rng(seed))
+        calls.clear()
+        map_problem(graph, spins, new_crossbar(exact_device(rows=n, cols=2 * n), seed))
+        assert calls == [(rows.tolist(), (2 * nodes + (spins[nodes] > 0)).tolist())]
+        assert len(rows) == 2 * graph.num_edges
 
 
 @pytest.mark.parametrize("instance", ["three_x", "m40"])
@@ -608,7 +658,7 @@ def _hand_loop(cnf, device, config):
         rng = substream(config.seed, restart, 0)
         spins = random_spins(graph.num_nodes, rng)
         xb = new_crossbar(device, derive_seed(config.seed, restart, 1))
-        map_problem(adj, spins, xb)
+        map_problem(graph, spins, xb)
         prior, rows = None, []
         for t in range(config.max_iters):
             before = xb.ledger.inference_energy_nj
@@ -744,25 +794,20 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
 
     At each trace (built once per iteration, after the flips are written and
     the pattern vector is refreshed) the per-node pattern vector that `run`
-    keeps must agree with the whole-array oracle, and the trace's verdict
-    must follow from it.  Returns the run's crossbars and the oracle's
-    verdict per iteration.
+    keeps, the one map_problem returned, must agree with the whole-array
+    oracle, and the trace's verdict must follow from it.  Returns the run's
+    crossbars and the oracle's verdict per iteration.
     """
     live, crossbars, verdicts = {}, [], []
-    map_problem_, columns_, trace_ = (
-        solver_module.map_problem, solver_module._columns_hold_pattern, solver_module.IterationTrace
-    )
+    map_problem_, trace_ = solver_module.map_problem, solver_module.IterationTrace
 
-    def recording_map(adj, spins, xb):
-        map_problem_(adj, spins, xb)
-        live.update(adj=adj, spins=spins, xb=xb, pattern_ok=None)
+    def recording_map(graph, spins, xb):
+        pattern_ok = map_problem_(graph, spins, xb)
+        adj = adjacency_matrix(graph)
+        assert pattern_ok.tolist() == _whole_array_pattern(xb, adj, spins).tolist()
+        live.update(adj=adj, spins=spins, xb=xb, pattern_ok=pattern_ok)
         crossbars.append(xb)
-
-    def recording_columns(*args):
-        out = columns_(*args)
-        if live["pattern_ok"] is None:  # the first call after mapping builds run's vector
-            live["pattern_ok"] = out
-        return out
+        return pattern_ok
 
     def checking_trace(**fields):
         oracle = _pattern_ok(live["xb"], live["adj"], live["spins"])
@@ -775,7 +820,6 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
         return trace_(**fields)
 
     monkeypatch.setattr(solver_module, "map_problem", recording_map)
-    monkeypatch.setattr(solver_module, "_columns_hold_pattern", recording_columns)
     monkeypatch.setattr(solver_module, "IterationTrace", checking_trace)
     device = DeviceConfig(rows=18, cols=36, p_cell_success=p_cell_success)
     solver = SolverConfig(restarts=4, max_iters=25, seed=3, profile_iterations=True)
@@ -817,7 +861,7 @@ def test_flipped_column_verify_matches_whole_array_pass():
     for seed in range(8):
         spins = random_spins(n, rng)
         xb = new_crossbar(device, seed)
-        map_problem(adj, spins, xb)
+        map_problem(g, spins, xb)
         apply_flips(xb, spins, rng.choice(n, 3, replace=False).tolist(), adj)
         j, k = rng.choice(n, 2, replace=False).tolist()
         # A high cell on a zero-weight row of j's pair, in its high or its low column.
@@ -826,7 +870,7 @@ def test_flipped_column_verify_matches_whole_array_pass():
         # A dead-zone conductance on one of k's weighted rows, in either column.
         row = int(rng.choice(np.flatnonzero(adj[:, k])))
         xb.inject_fault(row, 2 * k + int(rng.integers(0, 2)), 45.0)
-        whole = _columns_hold_pattern(xb, adj, spins, slice(None))
+        whole = _whole_array_pattern(xb, adj, spins)
         assert not whole[j] and not whole[k]
         subsets = ([j], [k], [k, j], sorted(rng.choice(n, 6, replace=False).tolist()), list(range(n)))
         for nodes in subsets:
@@ -834,6 +878,25 @@ def test_flipped_column_verify_matches_whole_array_pass():
             assert got.dtype == bool and got.tolist() == whole[nodes].tolist()
         seen.update(whole.tolist())
     assert seen == {True, False}
+
+
+@DEVICE_VARIANTS
+def test_map_problem_verdict_equals_the_whole_array_pass(overrides):
+    graph = build_graph(random_3sat(13, 40, 6))
+    adj = adjacency_matrix(graph)
+    n = graph.num_nodes
+    for p_cell_success in (None, 0.6):
+        extra = {} if p_cell_success is None else {"p_cell_success": p_cell_success}
+        cfg = DeviceConfig(**{"rows": n, "cols": 2 * n, **overrides, **extra})
+        seen = set()
+        for seed in range(3):
+            spins = random_spins(n, np.random.default_rng(seed))
+            xb = new_crossbar(cfg, seed)
+            got = map_problem(graph, spins, xb)
+            assert got.dtype == bool and got.shape == (n,)
+            assert got.tolist() == _whole_array_pattern(xb, adj, spins).tolist()
+            seen.update(got.tolist())
+        assert seen == {True, False}  # some column failed its init
 
 
 def _select_by_sort(delta, q, config, graph):
