@@ -10,6 +10,8 @@ iterative reprogramming), inference energy, and SAT verdict rate.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -40,6 +42,8 @@ class BenchSuite:
     iters: int = 10
 
     def __post_init__(self) -> None:
+        if not self.instances:
+            raise ValueError("a suite needs at least one instance")
         if self.runs < 1 or self.iters < 1:
             raise ValueError(f"runs and iters must be >= 1, got {self.runs} and {self.iters}")
 
@@ -223,10 +227,11 @@ def sublinearity_check(
 
 
 def rows_to_csv(cls: type, rows: list) -> str:
-    """CSV of dataclass rows: a header of field names, one line per row."""
-    lines = [",".join(f.name for f in fields(cls))]
-    lines += [",".join(str(v) for v in field_dict(row).values()) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV of dataclass rows, quoted by ``csv.writer``: a field-name header, one line per row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerows([[f.name for f in fields(cls)], *(field_dict(row).values() for row in rows)])
+    return out.getvalue()
 
 
 def kernel_report_csv(rows: list[KernelEnergyRow]) -> str:

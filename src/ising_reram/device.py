@@ -26,12 +26,12 @@ cell, kept up to date by ``program_cell`` and ``inject_fault`` so that reading
 it costs no pass over ``conductance``.  Assigning to ``conductance`` directly
 bypasses it.
 
-``Crossbar`` has two write entries.  ``program`` writes an ordered batch of
-(row, col, target) cells through ``program_cell``, skipping a cell that holds
-its target at no cost and with no draw.  ``program_high`` initializes a blank
-array, writing STATE1 to distinct cells as ``program_cell`` would; at
-``_BATCH_MIN`` cells or more on a fresh crossbar it makes one numpy pass with
-the same draws, bits and ledger totals, so the threshold changes no output.
+``Crossbar`` has two write entries, each returning every cell's verify flag
+``landed_in_window``.  ``program`` writes an ordered batch of (row, col,
+target) cells, one ``program_cell`` call each.  ``program_high`` initializes
+a blank array, writing STATE1 to distinct cells as ``program_cell`` would; at
+``_BATCH_MIN`` cells or more on a fresh crossbar it makes one numpy pass that
+gives the same draws, bits, ledger totals and flags.
 
 Every pulse takes exactly four random numbers, whether its branch uses them
 or not: two uniforms from ``Crossbar.rng`` (success, then landing) and two
@@ -368,8 +368,8 @@ class Crossbar:
         The config's constants come from ``DeviceConfig._pulse``, computed once
         per config, and ``stored_energy_nj`` and ``classify_value`` are inlined
         with the same arithmetic, so a write gives the bits those calls would.
-        The write entries pulse through here, one call and one ledger entry
-        per pulse, except for :meth:`program_high`'s numpy pass.
+        The write entries call it once per cell, held or not, and each pulse
+        is one ledger entry, except for :meth:`program_high`'s numpy pass.
         """
         (rows, cols, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, slopes, lo0, hi0, lo1, hi1) = self.config._pulse
@@ -423,46 +423,28 @@ class Crossbar:
         )
         return _outcome((final, lo <= final <= hi, energy))
 
-    def program(
-        self, cells: Iterable[tuple[int, int, int]], kind: str = "program"
-    ) -> tuple[int, int]:
-        """Write an ordered batch of (row, col, target) cells, from any iterable.
-
-        Returns (cells targeted, cells in their target window afterwards).  A
-        cell already holding its target is counted as landed with no pulse and
-        no draw; every other cell is written by :meth:`program_cell` in the
-        given order.  A target is a writable ``CellState`` (or 0/1, False/True).
-        """
+    def program(self, cells: Iterable[tuple[int, int, int]], kind: str = "program") -> list[bool]:
+        """Write an ordered batch of (row, col, target) cells from any iterable,
+        one :meth:`program_cell` call each in order, and return their verify
+        flags (``landed_in_window``).  A target is a writable ``CellState`` (or
+        0/1, False/True)."""
         _check_kind(kind)
-        rows, cols = self.config.rows, self.config.cols
-        held = self.state.item
         write = self.program_cell
-        targeted = landed = 0
-        for row, col, target in cells:
-            targeted += 1
-            # Out-of-range cells and the indeterminate target fall through to
-            # program_cell, which raises for them.
-            in_range = 0 <= row < rows and 0 <= col < cols
-            if in_range and target != _INDETERMINATE and held(row, col) == target:
-                landed += 1
-            else:
-                landed += write(row, col, target, kind).landed_in_window
-        return targeted, landed
+        return [write(row, col, target, kind).landed_in_window for row, col, target in cells]
 
-    def program_high(self, rows: np.ndarray, cols: np.ndarray) -> tuple[int, int]:
+    def program_high(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Initialize a blank array: write STATE1 (kind "init") to the cells
         (rows[i], cols[i]) in order, as :meth:`program_cell` would one by one.
 
         ``rows`` and ``cols`` are integer arrays of one length, such as those of
-        ``np.nonzero``.  Returns (cells targeted, cells in the STATE1 window
-        afterwards).  Before any draw, raises IndexError for a cell out of
-        range and ValueError for a repeated cell or unless every cell senses
-        STATE0.
+        ``np.nonzero``.  Returns the cells' verify flags as a bool array.
+        Before any draw, raises IndexError for a cell out of range and
+        ValueError for a repeated cell or unless every cell senses STATE0.
 
         On a crossbar that has drawn no block yet, as every fresh one,
         ``_BATCH_MIN`` cells or more take one numpy pass of whole blocks (see
         the module docstring) with the kernel's draws, bits, ledger totals and
-        counts: a cell that senses STATE0 lies below the STATE1 window, so every
+        flags: a cell that senses STATE0 lies below the STATE1 window, so every
         cell pulses and a shortcut write lands by triangular(lo, lo, nominal).
         Curve energies come from ``np.interp`` (``stored_energy_nj``), the noise
         factor from ``math.exp`` per pulse.  If ``math.exp`` overflows or the
@@ -512,10 +494,10 @@ class Crossbar:
                     (lo0 <= final) & (final <= hi0), _STATE0,
                     np.where((lo1 <= final) & (final <= hi1), _STATE1, _INDETERMINATE),
                 )
-                return k, int(np.count_nonzero((lo <= final) & (final <= hi)))
+                return (lo <= final) & (final <= hi)
         write = self.program_cell
-        return k, sum(write(row, col, _STATE1, "init").landed_in_window
-                      for row, col in zip(rows.tolist(), cols.tolist()))
+        return np.array([write(row, col, _STATE1, "init").landed_in_window
+                         for row, col in zip(rows.tolist(), cols.tolist())], dtype=bool)
 
     def read_columns(self, drive: Sequence[int]) -> np.ndarray:
         """Column currents (uA) under a signed row drive, logging read energy.

@@ -4,7 +4,7 @@ The crossbar stores the spin-signed adjacency matrix in differential column
 pairs: entry (i, j) is written as sign s_j when nodes i and j are adjacent.
 Node j sits on row j and on column pair (2j, 2j+1), negative cell first.
 ``map_problem`` programs a blank array (every cell STATE0), so its init
-pulses one high cell per adjacency entry, two per edge, and verifies only those.
+pulses one high cell per adjacency entry, two per edge.
 Each iteration reads the column currents under a row drive equal to the
 current spins, recovers the quadratic part of the per-node flip costs, applies
 the linear degree/reward bias digitally (the summer, threshold, q, and spin
@@ -20,6 +20,11 @@ candidate rule "delta_j below the threshold" is literal: the loop is greedy
 whenever an improving move exists and otherwise behaves as Metropolis
 annealing, with the acceptance probability exp(-delta/T) expressed as the
 random threshold q = -T * ln(u).
+
+Pattern verdicts come from the writes' verify flags, on the model assumption
+that a write changes only its own cell: node j's pair is written only on j's
+neighbour rows (init pulses the high cells of a blank array, each flip of j
+rewrites both), so it holds its pattern when its latest writes all landed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cnf import Cnf
-from .device import _STATE1, Crossbar, DeviceConfig, new_crossbar
+from .device import Crossbar, DeviceConfig, new_crossbar
 from .ising import (
     HamiltonianParams,
     IsingGraph,
@@ -153,12 +158,11 @@ def map_problem(graph: IsingGraph, spins: Sequence[int], xb: Crossbar) -> np.nda
     already holds every STATE0 target, so each nonzero adj(i, j) pulses only
     its high cell, (i, 2j + 1) when s_j > 0 and (i, 2j) otherwise, pairs in
     node order with rows ascending: the pulses, draws and ledger entries of
-    writing both cells of each pair, taken from the edge list.  Every other
-    cell still senses STATE0, so a pair holds its pattern when its written
-    cells sense STATE1.  Before any write, raises MappingError when the
-    problem needs more rows or columns than the device offers, and ValueError
-    unless ``spins`` holds one +1 or -1 per node and every cell of ``xb``
-    senses STATE0 (``Crossbar.program_high``).
+    writing both cells of each pair, taken from the edge list.  A pair holds
+    its pattern when ``program_high`` flags all its written cells.  Before any
+    write, raises MappingError when the problem needs more rows or columns
+    than the device offers, and ValueError unless ``spins`` holds one +1 or
+    -1 per node and every cell of ``xb`` senses STATE0.
     """
     n = graph.num_nodes
     check_fits(n, xb.config)
@@ -168,9 +172,9 @@ def map_problem(graph: IsingGraph, spins: Sequence[int], xb: Crossbar) -> np.nda
     # they give np.nonzero(adj)'s order, node by node with rows ascending.
     nodes, rows = np.divmod(np.sort(np.concatenate((v, u)) * n + np.concatenate((u, v))), n)
     cols = 2 * nodes + up[nodes]
-    xb.program_high(rows, cols)
+    landed = xb.program_high(rows, cols)
     held = np.ones(n, dtype=bool)
-    held[nodes[xb.state[rows, cols] != _STATE1]] = False
+    held[nodes[~landed]] = False
     return held
 
 
@@ -257,16 +261,17 @@ def select_flips(
 
 def apply_flips(
     xb: Crossbar, spins: np.ndarray, flips: Sequence[int], adj: np.ndarray
-) -> tuple[int, int]:
+) -> tuple[int, int, list[int]]:
     """Flip spins in place and reprogram the flipped nodes' column pairs.
 
     Only rows adjacent to a flipped node are rewritten (kind "program"), two
     cells per pair, positive cell first, pairs in node order with rows
     ascending: that order fixes which device draws each cell gets.  Returns
-    (cells targeted, cells that landed in their window).
+    (cells targeted, cells that landed in their window, ascending flipped
+    nodes with a cell that missed).
     """
     if not flips:
-        return 0, 0
+        return 0, 0, []
     for j in flips:
         spins[j] = -spins[j]
     nodes = sorted(flips)
@@ -274,30 +279,13 @@ def apply_flips(
     cells = []
     # adj is symmetric, so row j of adj is column j.  STATE1 is 1 and STATE0
     # is 0, so "holds a high cell" is the target.
-    ks, rows = np.nonzero(adj[nodes])
-    for k, i in zip(ks.tolist(), rows.tolist()):
+    ks, rows = map(np.ndarray.tolist, np.nonzero(adj[nodes]))
+    for k, i in zip(ks, rows):
         cells += (i, 2 * nodes[k] + 1, up[k]), (i, 2 * nodes[k], not up[k])
-    return xb.program(cells, "program")
-
-
-def _columns_hold_pattern(
-    xb: Crossbar, adj: np.ndarray, spins: np.ndarray, nodes: Sequence[int]
-) -> np.ndarray:
-    """Per node in ``nodes``: does its column pair classify as the expected
-    spin-signed pattern?
-
-    Only a node's own writes and its own spin change what its pair holds and
-    should hold, so after a flip only the flipped nodes need checking again.
-    The column of its sign must hold adj[:, j] (STATE1 is 1, STATE0 is 0)
-    and the other one all STATE0.
-    """
-    n = adj.shape[0]
-    state = xb.state[:n]
-    held = []
-    for j in nodes:
-        high, empty = (2 * j + 1, 2 * j) if spins[j] > 0 else (2 * j, 2 * j + 1)
-        held.append(bool((state[:, high] == adj[:, j]).all()) and not state[:, empty].any())
-    return np.array(held, dtype=bool)
+    landed = xb.program(cells, "program")
+    # Two cells per (node, row) entry: cell c is written for nodes[ks[c // 2]].
+    missed = sorted({nodes[ks[c // 2]] for c, ok in enumerate(landed) if not ok})
+    return len(cells), sum(landed), missed
 
 
 def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> RunReport:
@@ -313,14 +301,13 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     iteration that flips nothing costs the q draw (one uniform) and one
     comparison, with no pass over delta.  The spread of the previous
     iteration's costs, which scales q_unit's annealing temperature, is taken
-    only on a non-greedy iteration and at most once per read.  The columns'
-    verdict after init is ``map_problem``'s; then only the flipped columns are
-    verified again, and the all-columns verdict is refreshed only after a flip.
-    That verdict is the iteration's accuracy: each cell an iteration writes
-    lies in a flipped column it verifies.  A verified assignment ends the run
-    with verdict SAT (unless ``profile_iterations`` is set, in which case every
-    restart runs its full iteration budget and the first verified decode is
-    reported at the end; only such runs have iterations after one with no flip).
+    only on a non-greedy iteration and at most once per read.  The per-node
+    pattern verdicts are ``map_problem``'s, then each flip's (``apply_flips``'
+    missed nodes); their conjunction, refreshed only after a flip, is the
+    iteration's accuracy.  A verified assignment ends the run with verdict
+    SAT (unless ``profile_iterations`` is set, in which case every restart
+    runs its full iteration budget and the first verified decode is reported
+    at the end; only such runs have iterations after one with no flip).
     """
     graph = build_graph(cnf)
     adj = adjacency_matrix(graph)
@@ -354,9 +341,10 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
                 sigma, spread_of = float(np.std(prior_delta)), prior_delta
             q = q_unit(low, sigma, t, solver_config, srng)
             flips = select_flips(delta, q, solver_config, graph, low)
-            targeted, correct = apply_flips(xb, spins, flips, adj)
+            targeted, correct, missed = apply_flips(xb, spins, flips, adj)
             if flips:
-                pattern_ok[flips] = _columns_hold_pattern(xb, adj, spins, flips)
+                pattern_ok[flips] = True
+                pattern_ok[missed] = False
                 pattern_all = bool(pattern_ok.all())
             traces.append(
                 IterationTrace(
@@ -397,9 +385,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         traces=all_traces,
         totals=totals,
         iteration_accuracy=sum(tr.iteration_accurate for tr in every) / len(every),
-        cell_write_accuracy=(
-            sum(tr.cells_correct for tr in every) / targeted if targeted else 1.0
-        ),
+        cell_write_accuracy=sum(tr.cells_correct for tr in every) / targeted if targeted else 1.0,
         restarts_executed=len(all_traces),
         sat_restart=sat_restart,
         sat_iteration=sat_iteration,

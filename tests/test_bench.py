@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -25,6 +27,7 @@ from ising_reram import (
 from ising_reram.bench import (
     KERNEL_PATTERNS,
     AccuracyRow,
+    BenchSuite,
     KernelEnergyRow,
     kernel_report_csv,
     suite_report_csv,
@@ -133,6 +136,20 @@ def test_run_suite_ideal_accuracy_is_one():
     rows = run_suite(suite, exact_device(), SolverConfig(), seed=1)
     assert rows[-1].iter_acc == 1.0
     assert rows[-1].sat_rate == 1.0
+
+
+def test_a_suite_needs_an_instance():
+    with pytest.raises(ValueError, match="at least one instance"):
+        BenchSuite(())
+
+
+def test_suite_csv_quotes_a_label_with_a_comma(three_x):
+    suite = BenchSuite((("a,b", three_x),), runs=1, iters=2)
+    rows = run_suite(suite, DeviceConfig(), SolverConfig(), seed=1)
+    header, *lines = csv.reader(io.StringIO(suite_report_csv(rows)))
+    assert header == list(get_type_hints(AccuracyRow))
+    assert [line[0] for line in lines] == ["a,b", "Overall"]
+    assert [line[1:] for line in lines] == [[str(v) for v in vars(row).values()][1:] for row in rows]
 
 
 def test_sublinearity_zero_x():

@@ -263,16 +263,17 @@ def _assert_batches_equal_cell_by_cell_writes(cfg):
                 xb.inject_fault(row, col, start)
         assert not batch.state.any()  # still blank
         batch.program_cell = None  # so the batch must take the numpy pass
-        counts = batch.program_high(rows, cols)
+        flags = batch.program_high(rows, cols)
         outcomes = [single.program_cell(row, col, CellState.STATE1, "init")
                     for row, col in zip(rows.tolist(), cols.tolist())]
-        assert counts == (len(cells), sum(out.landed_in_window for out in outcomes))
-        assert type(counts[1]) is int
-        missed = missed or counts[1] < counts[0]
+        assert flags.dtype == bool
+        assert flags.tolist() == [out.landed_in_window for out in outcomes]
+        missed = missed or not flags.all()
         _assert_same_crossbars(batch, single)
     assert missed  # some writes missed their window
     fresh = new_crossbar(cfg, seed=7)
-    assert fresh.program_high(np.array([], int), np.array([], int)) == (0, 0)
+    flags = fresh.program_high(np.array([], int), np.array([], int))
+    assert flags.dtype == bool and flags.shape == (0,)
     assert _same_generators(fresh, new_crossbar(cfg, seed=7))
 
 
@@ -291,10 +292,11 @@ def test_whole_block_init_equals_cell_by_cell_writes(monkeypatch, overrides, blo
         rows, cols = np.divmod(cells, cfg.cols)
         batch, single = new_crossbar(cfg, seed=k), new_crossbar(cfg, seed=k)
         batch.program_cell = None  # so the batch must take the numpy pass
-        counts = batch.program_high(rows, cols)
+        flags = batch.program_high(rows, cols)
         outcomes = [single.program_cell(row, col, CellState.STATE1, "init")
                     for row, col in zip(rows.tolist(), cols.tolist())]
-        assert counts == (k, sum(out.landed_in_window for out in outcomes))
+        assert flags.dtype == bool
+        assert flags.tolist() == [out.landed_in_window for out in outcomes]
         # Both streams drew ceil(2k / block) blocks, the pulses' blocks.
         twin = new_crossbar(cfg, seed=k)
         twin.rng.random(-(-2 * k // block) * block)
@@ -322,25 +324,29 @@ def test_a_crossbar_that_has_pulsed_inits_cell_by_cell():
 
     xb.program_cell = recording_program_cell
     rows, cols = np.divmod(np.arange(2 * device_module._BATCH_MIN) + 5 * cfg.cols, cfg.cols)
-    counts = xb.program_high(rows, cols)
+    flags = xb.program_high(rows, cols)
     cells = list(zip(rows.tolist(), cols.tolist()))
     assert pulses == [(row, col, CellState.STATE1, "init") for row, col in cells]
     outcomes = [twin.program_cell(row, col, CellState.STATE1, "init") for row, col in cells]
-    assert counts == (len(cells), sum(out.landed_in_window for out in outcomes))
+    assert flags.dtype == bool
+    assert flags.tolist() == [out.landed_in_window for out in outcomes]
     _assert_same_crossbars(xb, twin)
 
 
 def test_program_batch_from_a_generator_equals_the_list():
     cfg = DeviceConfig()
     cells = [(r, c, CellState((r + c) % 2)) for r in range(cfg.rows) for c in range(cfg.cols)]
-    listed, generated = new_crossbar(cfg, seed=9), new_crossbar(cfg, seed=9)
-    counts = listed.program(cells, "init")
-    assert generated.program((cell for cell in cells), "init") == counts
-    assert counts[0] == len(cells)
-    assert np.array_equal(listed.conductance, generated.conductance)
-    assert np.array_equal(listed.state, generated.state)
-    assert listed.ledger._totals == generated.ledger._totals
-    assert _same_generators(listed, generated)
+    listed, generated, single = (new_crossbar(cfg, seed=9) for _ in range(3))
+    flags = listed.program(cells, "init")
+    assert generated.program((cell for cell in cells), "init") == flags
+    # One program_cell per cell, held or not, gives the same flags.
+    assert flags == [single.program_cell(*cell, "init").landed_in_window for cell in cells]
+    assert not all(flags)  # the default device misses some writes
+    for other in (generated, single):
+        assert np.array_equal(listed.conductance, other.conductance)
+        assert np.array_equal(listed.state, other.state)
+        assert listed.ledger._totals == other.ledger._totals
+        assert _same_generators(listed, other)
 
 
 # Cells (with a kind) that program_cell refuses.
@@ -378,8 +384,7 @@ def test_a_long_batch_the_loop_refuses_leaves_what_the_loop_leaves(cell, kind):
     cells = _lead() + [cell]
 
     def cell_by_cell():
-        outcomes = [loop.program_cell(*each, kind) for each in cells]
-        return len(cells), sum(out.landed_in_window for out in outcomes)
+        return [loop.program_cell(*each, kind).landed_in_window for each in cells]
 
     assert _result(lambda: batch.program(cells, kind)) == _result(cell_by_cell)
     _assert_same_crossbars(batch, loop)
@@ -804,14 +809,14 @@ def test_ledger_completeness_and_determinism():
 
     def exercise(seed):
         xb = new_crossbar(DeviceConfig(), seed=seed)
-        counts = xb.program(cells, "init")
+        flags = xb.program(cells, "init")
         xb.read_columns(np.ones(32, dtype=int))
         twin = new_crossbar(DeviceConfig(), seed=seed)  # the same writes, one call each
         outcomes = [twin.program_cell(*cell, "init") for cell in cells]
-        return xb, counts, outcomes
+        return xb, flags, outcomes
 
-    (xb1, counts1, out1), (xb2, counts2, out2) = exercise(5), exercise(5)
-    assert counts1 == counts2 == (len(cells), sum(out.landed_in_window for out in out1))
+    (xb1, flags1, out1), (xb2, flags2, out2) = exercise(5), exercise(5)
+    assert flags1 == flags2 == [out.landed_in_window for out in out1]
     assert out1 == out2
     assert (xb1.conductance == xb2.conductance).all()
     writes = sum(out.energy_nj for out in out1)

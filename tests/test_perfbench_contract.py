@@ -3,11 +3,11 @@
 `perfbench/spans.py` patches public callables in the namespace of their
 caller; a renamed or deleted one would only show up as a malformed benchmark
 result, so these tests resolve every target and compute the per-layer
-metrics here instead.  `Crossbar.program` pulses through
-`Crossbar.program_cell`, one `EnergyLedger.record` per pulse, and so does
-`Crossbar.program_high` under `device._BATCH_MIN` cells; a longer init is
-written by a numpy pass that neither span sees.  The tests count the write
-pulses the spans divide by on both paths.
+metrics here instead.  `Crossbar.program` calls `Crossbar.program_cell` once
+per cell, held or not, and each pulse is one `EnergyLedger.record`; so does
+`Crossbar.program_high` under `device._BATCH_MIN` cells, and a longer init is
+written by a numpy pass that neither span sees.  The tests count the
+`program_cell` calls and pulses the spans divide by on both paths.
 """
 
 import importlib
@@ -173,12 +173,16 @@ def test_program_pulses_every_cell_not_held_through_program_cell(monkeypatch):
     xb.program([(0, 0, CellState.STATE1), (0, 2, CellState.STATE1)], "init")
     xb.inject_fault(1, 1, 45.0)  # dead zone: it holds neither target
     assert xb.state.tolist()[0][:3] == [1, 0, 1]
-    pulses, records = _count_pulses(monkeypatch)
+    calls, records = _count_pulses(monkeypatch)
     high, low = CellState.STATE1, CellState.STATE0
     cells = [(0, 0, high), (2, 3, high), (0, 1, low), (1, 1, low), (0, 2, low), (3, 3, low)]
-    assert xb.program(cells, "program")[0] == len(cells)
-    assert pulses == [(2, 3, high), (1, 1, low), (0, 2, low)]
-    assert records == ["program"] * len(pulses)
+    flags = xb.program(cells, "program")
+    # One program_cell call per cell in batch order; only the three cells
+    # that do not hold their target pulse, one ledger record each.
+    assert calls == cells
+    assert records == ["program"] * 3
+    assert flags == [xb.state[row, col] == target for row, col, target in cells]
+    assert flags[0] and flags[2] and flags[5]  # held: flagged with no pulse
 
 
 def test_map_problem_and_apply_flips_pulse_each_cell_once(monkeypatch, three_x):
@@ -205,6 +209,7 @@ def test_map_problem_and_apply_flips_pulse_each_cell_once(monkeypatch, three_x):
         for i in np.flatnonzero(adj[:, j]).tolist()
         for col, target in ((2 * j + 1, spins[j] > 0), (2 * j, spins[j] < 0))
     ]
-    assert pulses == [(i, col, t) for i, col, t in targets if before[i, col] != t]
-    assert len(pulses) == len(targets) == 12  # every written cell changes state
+    assert pulses == targets
+    assert len(targets) == 12
+    assert all(before[i, col] != t for i, col, t in targets)  # every written cell pulses
     assert records == ["program"] * len(pulses)

@@ -35,7 +35,7 @@ from ising_reram import (
 )
 import ising_reram.device as device_module
 import ising_reram.solver as solver_module
-from ising_reram.solver import _columns_hold_pattern, random_spins
+from ising_reram.solver import random_spins
 from ising_reram.util import derive_seed, substream
 from conftest import DEVICE_VARIANTS, exact_device, graph_from_edges, unsat_eight_clause
 
@@ -204,7 +204,7 @@ def test_compute_delta_noisy_in_window_bound():
 def _whole_array_pattern(xb, adj, spins):
     """Per node, in one pass over the whole array: does its column pair
     classify as the expected spin-signed pattern?  The oracle of the verdicts
-    that map_problem and _columns_hold_pattern read from fewer cells."""
+    that map_problem and apply_flips take from the write flags."""
     n = adj.shape[0]
     pos = xb.state[:n, 1 : 2 * n : 2]
     neg = xb.state[:n, 0 : 2 * n : 2]
@@ -285,24 +285,24 @@ def test_select_flips_ordering_and_k():
 def test_apply_flips_write_counts(three_x):
     g, adj, spins, xb = build_problem(three_x, seed=2)
     # Every 3-X node has degree 3: 3 pairs, 6 cell writes.
-    targeted, correct = apply_flips(xb, spins, [0], adj)
+    targeted, correct, missed = apply_flips(xb, spins, [0], adj)
     assert targeted == 6
     assert correct == 6
+    assert missed == []
 
 
 def test_apply_flips_empty_set():
     cnf = random_3sat(3, 1, 0)
     g, adj, spins, xb = build_problem(cnf, seed=0)
     before = xb.ledger.total_nj()
-    targeted, correct = apply_flips(xb, spins, [], adj)
-    assert (targeted, correct) == (0, 0)
+    assert apply_flips(xb, spins, [], adj) == (0, 0, [])
     assert xb.ledger.total_nj() == before
 
 
 def test_apply_flips_degree_counts():
     cnf = paper_instances()["1-X"]  # node 1 (lit -2) has degree 3, node 0 degree 2
     g, adj, spins, xb = build_problem(cnf, seed=3)
-    targeted, _ = apply_flips(xb, spins, [0], adj)
+    targeted, _, _ = apply_flips(xb, spins, [0], adj)
     assert targeted == 4  # degree-2 node: 2 pairs
 
 
@@ -312,7 +312,7 @@ def test_apply_flips_degree_one_node():
     xb = new_crossbar(exact_device(rows=4, cols=4), seed=0)
     spins = np.array([1, 1])
     map_problem(g, spins, xb)
-    targeted, _ = apply_flips(xb, spins, [1], adj)
+    targeted, _, _ = apply_flips(xb, spins, [1], adj)
     assert targeted == 2  # one adjacency pair
 
 
@@ -667,7 +667,7 @@ def _hand_loop(cnf, device, config):
             low = min(delta.tolist())
             q = q_unit(low, float(np.std(prior)) if prior is not None else None, t, config, rng)
             flips = select_flips(delta, q, config, graph, low)
-            targeted, correct = apply_flips(xb, spins, flips, adj)
+            targeted, correct, _ = apply_flips(xb, spins, flips, adj)
             accurate = correct == targeted and _pattern_ok(xb, adj, spins)
             rows.append(
                 (t, tuple(delta.tolist()), q, tuple(flips), targeted, correct, accurate, read_nj)
@@ -789,16 +789,18 @@ def test_solver_config_validation():
         SolverConfig(alpha=1.0)
 
 
-def _noisy_run_checking_verify(monkeypatch, p_cell_success):
-    """Solve on a noisy 18x36 device, checking every iteration's verify.
+def _noisy_run_checking_verify(monkeypatch, p_cell_success, k=1):
+    """Solve on a noisy 18x36 device with up to ``k`` flips per iteration,
+    checking every iteration's verify.
 
     At each trace (built once per iteration, after the flips are written and
     the pattern vector is refreshed) the per-node pattern vector that `run`
     keeps, the one map_problem returned, must agree with the whole-array
     oracle, and the trace's verdict must follow from it.  Returns the run's
-    crossbars and the oracle's verdict per iteration.
+    crossbars, the oracle's verdict per iteration and the number of nodes
+    each iteration flipped.
     """
-    live, crossbars, verdicts = {}, [], []
+    live, crossbars, verdicts, widths = {}, [], [], []
     map_problem_, trace_ = solver_module.map_problem, solver_module.IterationTrace
 
     def recording_map(graph, spins, xb):
@@ -817,26 +819,30 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success):
         )
         assert fields["iteration_accurate"] == oracle
         verdicts.append(oracle)
+        widths.append(len(fields["flipped"]))
         return trace_(**fields)
 
     monkeypatch.setattr(solver_module, "map_problem", recording_map)
     monkeypatch.setattr(solver_module, "IterationTrace", checking_trace)
     device = DeviceConfig(rows=18, cols=36, p_cell_success=p_cell_success)
-    solver = SolverConfig(restarts=4, max_iters=25, seed=3, profile_iterations=True)
+    solver = SolverConfig(k=k, restarts=4, max_iters=25, seed=3, profile_iterations=True)
     report = run(random_3sat(5, 6, 11), device, solver)
     assert len(verdicts) == sum(len(restart) for restart in report.traces) == 100
-    return crossbars, verdicts
+    return crossbars, verdicts, widths
 
 
 def test_incremental_verify_matches_whole_array_oracle(monkeypatch):
     verdicts = []
     for p_cell_success in (0.6, 0.99):
-        verdicts += _noisy_run_checking_verify(monkeypatch, p_cell_success)[1]
+        for k in (1, 3):
+            _, seen, widths = _noisy_run_checking_verify(monkeypatch, p_cell_success, k)
+            assert max(widths) == k  # with k = 3, some iterations flip several nodes
+            verdicts += seen
     assert set(verdicts) == {True, False}
 
 
 def test_sensed_grid_matches_window_classification(monkeypatch):
-    crossbars, _ = _noisy_run_checking_verify(monkeypatch, 0.6)
+    crossbars, _, _ = _noisy_run_checking_verify(monkeypatch, 0.6)
     faults = ((0, 1, 45.0), (2, 3, 70.0), (4, 5, 10.0), (5, 0, 30.0), (1, 7, 95.0), (3, 2, 0.0))
     for row, col, g in faults:
         crossbars[-1].inject_fault(row, col, g)
@@ -850,33 +856,31 @@ def test_sensed_grid_matches_window_classification(monkeypatch):
     assert set(np.unique(crossbars[-1].classify_grid()).tolist()) == {0, 1, 2}
 
 
-def test_flipped_column_verify_matches_whole_array_pass():
-    cnf = random_3sat(5, 8, 4)
-    g = build_graph(cnf)
-    adj = adjacency_matrix(g)
-    n = g.num_nodes
-    device = DeviceConfig(rows=n, cols=2 * n)
+@DEVICE_VARIANTS
+def test_apply_flips_missed_nodes_are_the_flipped_nodes_the_whole_array_pass_fails(overrides):
+    # Runs reach only map_problem's init followed by flips of independent
+    # node sets; after each, a flipped node's verdict is the oracle's.
+    graph = build_graph(random_3sat(5, 8, 4))
+    adj = adjacency_matrix(graph)
+    n = graph.num_nodes
+    cfg = DeviceConfig(**{"rows": n, "cols": 2 * n, **overrides, "p_cell_success": 0.6})
     rng = np.random.default_rng(5)
     seen = set()
-    for seed in range(8):
+    for seed in range(4):
         spins = random_spins(n, rng)
-        xb = new_crossbar(device, seed)
-        map_problem(g, spins, xb)
-        apply_flips(xb, spins, rng.choice(n, 3, replace=False).tolist(), adj)
-        j, k = rng.choice(n, 2, replace=False).tolist()
-        # A high cell on a zero-weight row of j's pair, in its high or its low column.
-        row = int(rng.choice(np.flatnonzero(adj[:, j] == 0)))
-        xb.inject_fault(row, 2 * j + int(rng.integers(0, 2)), device.g_state1)
-        # A dead-zone conductance on one of k's weighted rows, in either column.
-        row = int(rng.choice(np.flatnonzero(adj[:, k])))
-        xb.inject_fault(row, 2 * k + int(rng.integers(0, 2)), 45.0)
-        whole = _whole_array_pattern(xb, adj, spins)
-        assert not whole[j] and not whole[k]
-        subsets = ([j], [k], [k, j], sorted(rng.choice(n, 6, replace=False).tolist()), list(range(n)))
-        for nodes in subsets:
-            got = _columns_hold_pattern(xb, adj, spins, nodes)
-            assert got.dtype == bool and got.tolist() == whole[nodes].tolist()
-        seen.update(whole.tolist())
+        xb = new_crossbar(cfg, seed)
+        map_problem(graph, spins, xb)
+        for _ in range(6):
+            flips = []
+            for j in rng.permutation(n).tolist()[: int(rng.integers(1, 4))]:
+                if not any(adj[j, i] for i in flips):
+                    flips.append(j)
+            targeted, correct, missed = apply_flips(xb, spins, flips, adj)
+            whole = _whole_array_pattern(xb, adj, spins)
+            assert missed == sorted(j for j in flips if not whole[j])
+            assert targeted == 2 * int(adj[flips].sum())
+            assert (correct == targeted) == (missed == [])
+            seen.update(whole[flips].tolist())
     assert seen == {True, False}
 
 

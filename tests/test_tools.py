@@ -22,13 +22,16 @@ def test_byte_identity_maps_every_op_of_every_workload_and_seed():
     assert sorted(table) == sorted([*OPS_PER_RUN, "commands"])
     commands = table.pop("commands")
     assert sorted(commands) == sorted(
-        ["gen", "solve", "solve-config-seed", "solve-sat", "bench", "kernels", *DEMOS]
+        ["gen", "solve", "solve-config-seed", "solve-noisy-k3", "solve-sat", "bench", "kernels",
+         *DEMOS]
     )
     assert len(DEMOS) == 4
     for key, entry in commands.items():
         assert len(entry["sha256"]) == 64 and int(entry["sha256"], 16) >= 0
         # The m=40 solves exit 1 on an Unknown verdict.
-        assert entry["exit"] in ((0, 1) if key in ("solve", "solve-config-seed") else (0,))
+        assert entry["exit"] in (
+            (0, 1) if key in ("solve", "solve-config-seed", "solve-noisy-k3") else (0,)
+        )
     assert len({entry["sha256"] for entry in commands.values()}) == len(commands)
     for name, n_ops in OPS_PER_RUN.items():
         assert sorted(table[name]) == ["1", "7"]

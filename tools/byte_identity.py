@@ -8,10 +8,11 @@ report JSON; on paper-suite it covers the suite CSV and then every solve's
 report.  Under ``commands`` the map also holds the sha256 and exit code of
 fixed command-line runs (``gen``, an m=40 ``solve --report`` on a 120x240
 array, the same solve with its seed taken only from the config's
-``solver.seed``, a ``solve --report`` of the 3-X instance that ends SAT,
-``bench --csv`` and ``kernels --csv``) and of each demo's stdout, run in
-subprocesses on the checkout's ``src/``.  A change is byte-identical when two
-checkouts give the same map:
+``solver.seed``, the same solve at ``p_cell_success`` 0.6 with ``k`` 3, so
+that write misses fall on several flipped nodes of one iteration, a ``solve
+--report`` of the 3-X instance that ends SAT, ``bench --csv`` and ``kernels
+--csv``) and of each demo's stdout, run in subprocesses on the checkout's
+``src/``.  A change is byte-identical when two checkouts give the same map:
 
     python3 tools/byte_identity.py --against ../parent
 
@@ -42,6 +43,10 @@ SOLVE_CONFIG = {
     "solver": {"k": 2, "a_pen": 3.0, "b_pen": 1.5, "restarts": 2, "max_iters": 50},
 }
 SEEDED_CONFIG = {**SOLVE_CONFIG, "solver": {**SOLVE_CONFIG["solver"], "seed": 4}}
+NOISY_K3_CONFIG = {
+    "device": {**SOLVE_CONFIG["device"], "p_cell_success": 0.6},
+    "solver": {**SOLVE_CONFIG["solver"], "k": 3},
+}
 # Ends SAT under the default config, so its report carries an assignment,
 # sat_restart and sat_iteration.
 THREE_X = "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
@@ -52,12 +57,15 @@ CLI_RUNS = (
      "m40.json"),
     ("solve-config-seed", ["solve", "gen.out", "--config", "cfg-seed.json", "--report", "m40-seed.json"],
      "m40-seed.json"),
+    ("solve-noisy-k3", ["solve", "gen.out", "--seed", "3", "--config", "cfg-noisy-k3.json",
+                        "--report", "m40-noisy-k3.json"], "m40-noisy-k3.json"),
     ("solve-sat", ["solve", "3x.cnf", "--seed", "1", "--report", "sat.json"], "sat.json"),
     ("bench", ["bench", "--runs", "3", "--iters", "5", "--seed", "9", "--csv", "bench.csv"],
      "bench.csv"),
     ("kernels", ["kernels", "--trials", "4", "--seed", "2", "--csv", "kernels.csv"], "kernels.csv"),
 )
-MAY_END_UNKNOWN = ("solve", "solve-config-seed")  # the m=40 solves: exit 1 is Unknown
+# The m=40 solves: exit 1 is an Unknown verdict.
+MAY_END_UNKNOWN = ("solve", "solve-config-seed", "solve-noisy-k3")
 
 
 def load_workloads(root: Path):
@@ -113,6 +121,7 @@ def command_digests(root: Path) -> tuple[dict, int]:
         work = Path(tmp)
         (work / "cfg.json").write_text(json.dumps(SOLVE_CONFIG))
         (work / "cfg-seed.json").write_text(json.dumps(SEEDED_CONFIG))
+        (work / "cfg-noisy-k3.json").write_text(json.dumps(NOISY_K3_CONFIG))
         (work / "3x.cnf").write_text(THREE_X)
         for key, args, written in runs:
             done = subprocess.run([sys.executable, *args], cwd=work, env=env, capture_output=True)
