@@ -23,8 +23,12 @@ noise, no retention drift.
 
 ``Crossbar.state`` is the sensed grid: the window classification of every
 cell, kept up to date by ``program_cell`` and ``inject_fault`` so that reading
-it costs no pass over ``conductance``.  Assigning to ``conductance`` directly
-bypasses it.
+it costs no pass over ``conductance``.  ``Crossbar.row_g`` is a list of each
+row's conductance total, which a read's energy sums over the driven rows:
+``program_cell`` adds each pulse's change to its row, the numpy pass of
+``program_high`` adds its changes in cell order (the same adds, so the same
+bits), and ``inject_fault`` re-sums its row.  Each total carries the rounding
+of its adds.  Assigning to ``conductance`` directly bypasses both.
 
 ``Crossbar`` has two write entries, each returning every cell's verify flag
 ``landed_in_window``.  ``program`` writes an ordered batch of (row, col,
@@ -63,7 +67,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -172,7 +176,7 @@ class DeviceConfig:
         if gs[0] != 0.0 or gs[-1] < self.g_state1 + self.tolerance:
             raise DeviceConfigError("energy_curve must start at 0 uS and span the operating range")
         try:  # a read of every cell at the curve's end
-            read_nj = self._read_energy_nj(gs[-1] * self.rows * self.cols)
+            read_nj = self._full_read_nj(gs[-1])
         except OverflowError:
             read_nj = math.inf
         if not read_nj < math.inf:
@@ -184,6 +188,13 @@ class DeviceConfig:
         """Energy (nJ) of one read of cells whose conductances sum to
         ``conductance_us``: V^2 * G * t_read, with uS * V^2 * s = 1e-6 J."""
         return self.v_read ** 2 * conductance_us * self.t_read * 1e3
+
+    def _full_read_nj(self, conductance_us: float) -> float:
+        """A bound on the energy (nJ) of one read of every cell at
+        ``conductance_us``: a read's total is a sum of row totals, each a sum
+        over its row, so in any order it rounds up by less than the margin."""
+        margin = 1.0 + (self.rows + self.cols) * 2.0 ** -52
+        return self._read_energy_nj(conductance_us * self.rows * self.cols * margin)
 
     @cached_property
     def _curve_segments(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
@@ -317,6 +328,8 @@ class Crossbar:
         self.config = config
         self.conductance = np.full((config.rows, config.cols), config.g_state0, dtype=float)
         self.state = np.full(self.conductance.shape, int(CellState.STATE0), dtype=np.int8)
+        # Every row starts alike, so one row's sum is every row's total.
+        self.row_g = [float(self.conductance[0].sum())] * config.rows
         self.rng = substream(seed, 0xC3)
         self.normal_rng = substream(seed, 0xC3, 1)
         # While rng is in this state no block is drawn: both streams draw on the same pulses.
@@ -417,6 +430,7 @@ class Crossbar:
             energy *= math.exp(shift + sigma * noise)
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
+        self.row_g[row] += final - start
         # classify_value inlined.
         self.state[row, col] = (
             _STATE0 if lo0 <= final <= hi0 else _STATE1 if lo1 <= final <= hi1 else _INDETERMINATE
@@ -490,6 +504,9 @@ class Crossbar:
             else:
                 self._stream(uniforms[2 * k :].tolist(), normals[2 * k :].tolist())
                 self.conductance[rows, cols] = final
+                row_g = np.array(self.row_g)
+                np.add.at(row_g, rows, final - start)  # in cell order, as the pulses add
+                self.row_g = row_g.tolist()
                 self.state[rows, cols] = np.where(
                     (lo0 <= final) & (final <= hi0), _STATE0,
                     np.where((lo1 <= final) & (final <= hi1), _STATE1, _INDETERMINATE),
@@ -503,7 +520,8 @@ class Crossbar:
         """Column currents (uA) under a signed row drive, logging read energy.
 
         The signed drive is a functional idealization of the inference step;
-        every cell in a driven row dissipates V^2 * G * t_read.
+        every cell in a driven row dissipates V^2 * G * t_read, so the energy
+        is that of the driven rows' ``row_g`` totals, added in row order.
         """
         d = np.asarray(drive)
         if d.shape != (self.config.rows,):
@@ -513,10 +531,9 @@ class Crossbar:
         currents = self.config.v_read * (d.astype(float) @ self.conductance)
         driven = d != 0
         k = int(np.count_nonzero(driven))
-        # A prefix drive (rows 0..k-1, as the solver drives) sums a view of
-        # the same C-ordered cells the row copy would hold, in the same order.
-        rows = self.conductance[:k] if driven[:k].all() else self.conductance[driven, :]
-        self.ledger.record("inference", float(self.config._read_energy_nj(rows.sum())))
+        # A prefix drive (rows 0..k-1) is how the solver drives.
+        totals = self.row_g[:k] if driven[:k].all() else compress(self.row_g, driven.tolist())
+        self.ledger.record("inference", self.config._read_energy_nj(sum(totals)))
         return currents
 
     def inject_fault(self, row: int, col: int, conductance: float) -> None:
@@ -524,7 +541,7 @@ class Crossbar:
 
         A conductance beyond the energy curve is legal, up to the largest
         whose full-array read energy, ``DeviceConfig``'s read bound with it in
-        place of the curve end, stays finite.
+        place of the curve end, stays finite.  The row's total is summed again.
         """
         self._check_coords(row, col)
         g = float(conductance)
@@ -532,10 +549,11 @@ class Crossbar:
             raise ValueError(f"fault conductance at cell ({row}, {col}) must be finite "
                              f"and non-negative, got {g!r}")
         cfg = self.config
-        if not cfg._read_energy_nj(g * cfg.rows * cfg.cols) < math.inf:
+        if not cfg._full_read_nj(g) < math.inf:
             raise ValueError(f"fault conductance {g!r} at cell ({row}, {col}) overflows "
                              f"the read energy of a full {cfg.rows}x{cfg.cols} array")
         self.conductance[row, col] = g
+        self.row_g[row] = float(self.conductance[row].sum())
         self.state[row, col] = self.config.classify_value(g)
 
 

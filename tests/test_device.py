@@ -206,10 +206,11 @@ def _same_generators(a, b) -> bool:
 
 
 def _assert_same_crossbars(a, b):
-    """Equal conductance, sensed grid and ledger totals, the same blocks
-    drawn, and the same next pulse's draws (which each takes)."""
+    """Equal conductance, sensed grid, row totals and ledger totals, the same
+    blocks drawn, and the same next pulse's draws (which each takes)."""
     assert np.array_equal(a.conductance, b.conductance)
     assert np.array_equal(a.state, b.state)
+    assert a.row_g == b.row_g  # bit for bit
     assert a.ledger._totals == b.ledger._totals
     assert _same_generators(a, b)
     assert next(a._draws) == next(b._draws)
@@ -469,15 +470,99 @@ def test_read_energy_equals_driven_row_sum(driven):
     xb = new_crossbar(cfg, seed=1)
     rng = np.random.default_rng(5)
     # Read energy depends only on conductance; spread values make summation order show.
-    xb.conductance[:] = rng.uniform(5.0, 95.0, xb.conductance.shape)
+    spread = rng.uniform(5.0, 95.0, xb.conductance.shape)
+    for (row, col), g in np.ndenumerate(spread):
+        xb.inject_fault(row, col, g)
     drive = np.zeros(cfg.rows, dtype=np.int64)
     if driven == "prefix":
         drive[:90] = rng.choice((-1, 1), 90)
     elif driven == "non-prefix":
         drive[3:6] = (1, -1, 1)
     xb.read_columns(drive)
-    expected = cfg.v_read ** 2 * xb.conductance[drive != 0, :].sum() * cfg.t_read * 1e3
-    assert xb.ledger.inference_energy_nj == expected
+    # The driven rows' totals (a fault sums its row again), added in row order.
+    totals = sum(float(xb.conductance[row].sum()) for row in np.flatnonzero(drive).tolist())
+    assert xb.ledger.inference_energy_nj == cfg.v_read ** 2 * totals * cfg.t_read * 1e3
+    full_sum = cfg.v_read ** 2 * xb.conductance[drive != 0, :].sum() * cfg.t_read * 1e3
+    assert xb.ledger.inference_energy_nj == pytest.approx(full_sum, rel=1e-12, abs=0)
+
+
+def _read_nj(xb, drive) -> float:
+    """The ledger entry of one read of ``drive`` (the crossbar's ledger is replaced)."""
+    xb.ledger = EnergyLedger()
+    xb.read_columns(drive)
+    return xb.ledger.inference_energy_nj
+
+
+def _full_sum_read_nj(xb, drive) -> float:
+    """A read's energy as one sum over every driven cell."""
+    return xb.config._read_energy_nj(float(xb.conductance[np.asarray(drive) != 0].sum()))
+
+
+def _assert_row_totals_hold(xb, picks, exact: bool) -> None:
+    """``row_g`` is each row's conductance sum, and reads under a full, a
+    prefix, a scattered and a zero drive book the energy of the full sum: to
+    1e-12 relative, or bit for bit if ``exact``."""
+    rows = xb.config.rows
+    prefix = np.zeros(rows, dtype=int)
+    prefix[: rows // 2] = picks.choice((-1, 1), rows // 2)
+    scattered = picks.choice((-1, 0, 1), rows)
+    drives = (np.ones(rows, dtype=int), prefix, scattered, np.zeros(rows, dtype=int))
+    sums = xb.conductance.sum(axis=1)
+    if exact:
+        assert xb.row_g == sums.tolist()
+    else:
+        np.testing.assert_allclose(xb.row_g, sums, rtol=1e-12, atol=0)
+    for drive in drives:
+        got, full = _read_nj(xb, drive), _full_sum_read_nj(xb, drive)
+        if exact:
+            assert got == full
+        else:
+            assert got == pytest.approx(full, rel=1e-12, abs=0)
+
+
+def _row_total_mix(cfg, seed, exact: bool) -> None:
+    """Init a blank array by ``program_high``'s numpy pass and, on a twin that
+    has pulsed, by its per-cell path; then rounds of ``program_cell``,
+    ``program`` batches and ``inject_fault`` on both, checking the row
+    totals after every step.  Faults on an exact device hold its two
+    nominal conductances, else starts across and beyond the windows."""
+    picks = np.random.default_rng(seed)
+    faults = (cfg.g_state0, cfg.g_state1) if exact else (
+        0.0, cfg.g_state0 - cfg.tolerance - 3.0, cfg.g_state0 + 1.5,
+        (cfg.g_state0 + cfg.g_state1) / 2, cfg.g_state1 + cfg.tolerance + 4.0, 160.0)
+    batch, pulsed = new_crossbar(cfg, seed), new_crossbar(cfg, seed)
+    pulsed.program_cell(0, 0, CellState.STATE1)
+    pulsed.inject_fault(0, 0, cfg.g_state0)  # blank again, with blocks drawn
+    cells = picks.permutation(cfg.rows * cfg.cols)[: 3 * device_module._BATCH_MIN]
+    rows, cols = np.divmod(cells, cfg.cols)
+    pulsed.program_high(rows, cols)
+    batch.program_cell = None  # so the batch must take the numpy pass
+    batch.program_high(rows, cols)
+    del batch.program_cell
+    for xb in (batch, pulsed):
+        _assert_row_totals_hold(xb, picks, exact)
+        for _ in range(4):
+            for _ in range(40):
+                row, col = int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols))
+                xb.program_cell(row, col, CellState(int(picks.integers(2))))
+            _assert_row_totals_hold(xb, picks, exact)
+            xb.program([(int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols)),
+                         CellState(int(picks.integers(2)))) for _ in range(40)])
+            _assert_row_totals_hold(xb, picks, exact)
+            for _ in range(10):
+                row, col = int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols))
+                xb.inject_fault(row, col, faults[int(picks.integers(len(faults)))])
+            _assert_row_totals_hold(xb, picks, exact)
+
+
+@DEVICE_VARIANTS
+def test_row_totals_follow_every_write(overrides):
+    _row_total_mix(DeviceConfig(rows=12, cols=24, **overrides), seed=3, exact=False)
+
+
+def test_reads_on_an_ideal_device_book_the_full_sum_bit_for_bit():
+    # Every conductance is 20 or 70 uS, so every partial sum is an exact integer.
+    _row_total_mix(exact_device(rows=12, cols=24), seed=4, exact=True)
 
 
 def test_differential_nullification():
