@@ -23,12 +23,12 @@ noise, no retention drift.
 
 ``Crossbar.state`` is the sensed grid: the window classification of every
 cell, kept up to date by ``program_cell`` and ``inject_fault`` so that reading
-it costs no pass over ``conductance``.  ``Crossbar.row_g`` is a list of each
-row's conductance total, which a read's energy sums over the driven rows:
-``program_cell`` adds each pulse's change to its row, the numpy pass of
-``program_high`` adds its changes in cell order (the same adds, so the same
-bits), and ``inject_fault`` re-sums its row.  Each total carries the rounding
-of its adds.  Assigning to ``conductance`` directly bypasses both.
+it costs no pass over ``conductance``.  ``Crossbar.row_g`` lists each row's
+conductance total, summed over the driven rows for a read's energy: each pulse
+adds its change to its row (``program_high``'s numpy pass makes the same adds
+in cell order), and ``inject_fault`` sums its row again.  A total keeps the
+rounding of its adds: all of a fault's, if a pulse rewrites a fault far beyond
+the curve.  Assigning to ``conductance`` directly bypasses both.
 
 ``Crossbar`` has two write entries, each returning every cell's verify flag
 ``landed_in_window``.  ``program`` writes an ordered batch of (row, col,

@@ -507,17 +507,13 @@ def _assert_row_totals_hold(xb, picks, exact: bool) -> None:
     prefix[: rows // 2] = picks.choice((-1, 1), rows // 2)
     scattered = picks.choice((-1, 0, 1), rows)
     drives = (np.ones(rows, dtype=int), prefix, scattered, np.zeros(rows, dtype=int))
-    sums = xb.conductance.sum(axis=1)
-    if exact:
-        assert xb.row_g == sums.tolist()
-    else:
-        np.testing.assert_allclose(xb.row_g, sums, rtol=1e-12, atol=0)
+
+    def agree(got, want) -> bool:
+        return got == want if exact else got == pytest.approx(want, rel=1e-12, abs=0)
+
+    assert agree(xb.row_g, xb.conductance.sum(axis=1).tolist())
     for drive in drives:
-        got, full = _read_nj(xb, drive), _full_sum_read_nj(xb, drive)
-        if exact:
-            assert got == full
-        else:
-            assert got == pytest.approx(full, rel=1e-12, abs=0)
+        assert agree(_read_nj(xb, drive), _full_sum_read_nj(xb, drive))
 
 
 def _row_total_mix(cfg, seed, exact: bool) -> None:

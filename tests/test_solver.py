@@ -983,36 +983,34 @@ def _full_sum_read(self, drive):
     return currents
 
 
+def _read_energies(report) -> list[float]:
+    """Every iteration's read energy, then the run's total."""
+    return [tr.inference_energy_nj for restart in report.traces for tr in restart] + [
+        report.totals["inference_energy_nj"]]
+
+
+def _without_read_energies(report) -> RunReport:
+    traces = [[dataclasses.replace(tr, inference_energy_nj=0.0) for tr in restart]
+              for restart in report.traces]
+    totals = {**report.totals, "inference_energy_nj": 0.0}
+    return dataclasses.replace(report, traces=traces, totals=totals)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("ideal", [False, True], ids=["noisy", "ideal"])
 def test_row_total_reads_give_the_full_sum_runs(monkeypatch, k, ideal):
-    # On an ideal device every conductance is 20 or 70 uS and every partial
-    # sum an exact integer, so the energies agree bit for bit.
     cnf = random_3sat(13, 40, 5)
     device = exact_device(rows=120, cols=240) if ideal else DeviceConfig(rows=120, cols=240)
     config = SolverConfig(restarts=2, max_iters=300, k=k, seed=1, profile_iterations=True)
     report = run(cnf, device, config)
     monkeypatch.setattr(Crossbar, "read_columns", _full_sum_read)
     reference = run(cnf, device, config)
-    assert (report.verdict, report.assignment, report.final_spins) == (
-        reference.verdict, reference.assignment, reference.final_spins)
-    assert (report.iteration_accuracy, report.cell_write_accuracy) == (
-        reference.iteration_accuracy, reference.cell_write_accuracy)
-    for kind in ("init_energy_nj", "program_energy_nj"):
-        assert report.totals[kind] == reference.totals[kind]
-    flips = 0
-    for traces, expected in zip(report.traces, reference.traces, strict=True):
-        for tr, ref in zip(traces, expected, strict=True):
-            assert dataclasses.replace(tr, inference_energy_nj=0.0) == dataclasses.replace(
-                ref, inference_energy_nj=0.0)
-            if ideal:
-                assert tr.inference_energy_nj == ref.inference_energy_nj
-            else:
-                assert tr.inference_energy_nj == pytest.approx(ref.inference_energy_nj, rel=1e-12, abs=0)
-            flips += len(tr.flipped)
-    assert flips > 0
+    assert any(tr.flipped for restart in report.traces for tr in restart)
     if ideal:
+        # Every conductance is 20 or 70 uS and every partial sum an exact
+        # integer, so the energies agree bit for bit.
         assert report == reference
     else:
-        assert report.totals["inference_energy_nj"] == pytest.approx(
-            reference.totals["inference_energy_nj"], rel=1e-12, abs=0)
+        # Same flips, q, cell counts, verdicts and assignment.
+        assert _without_read_energies(report) == _without_read_energies(reference)
+        assert _read_energies(report) == pytest.approx(_read_energies(reference), rel=1e-12, abs=0)
