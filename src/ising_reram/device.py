@@ -21,14 +21,15 @@ Reads drive rows at +/-v_read and sum per-column currents; read energy
 The 2T-1R cell is modeled as an ideal selector: no sneak paths, no read
 noise, no retention drift.
 
-``Crossbar.state`` is the sensed grid: the window classification of every
-cell, kept up to date by ``program_cell`` and ``inject_fault`` so that reading
-it costs no pass over ``conductance``.  ``Crossbar.row_g`` lists each row's
-conductance total, summed over the driven rows for a read's energy: each pulse
-adds its change to its row (``program_high``'s numpy pass makes the same adds
-in cell order), and ``inject_fault`` sums its row again.  A total keeps the
-rounding of its adds: all of a fault's, if a pulse rewrites a fault far beyond
-the curve.  Assigning to ``conductance`` directly bypasses both.
+``Crossbar.state`` is the sensed grid, the window classification of every
+cell, and ``Crossbar.row_g`` lists each row's conductance total, summed over
+the driven rows for a read's energy; ``program_cell`` and ``inject_fault``
+keep both, so neither costs a pass over ``conductance``.  A pulse adds its
+change to its row's total (``program_high``'s numpy pass makes the same adds
+in cell order) unless that leaves the total below the pulse's start, as when
+it rewrites a fault far above the rest of its row: the add may then have
+cancelled the total's rounding, so the row is summed again, as
+``inject_fault`` sums it.  Assigning to ``conductance`` directly bypasses both.
 
 ``Crossbar`` has two write entries, each returning every cell's verify flag
 ``landed_in_window``.  ``program`` writes an ordered batch of (row, col,
@@ -50,12 +51,10 @@ pulses would, one array per stream, and leaves the values past the first 2k
 at the head of the stream, where k pulses would leave them.
 
 ``program_cell`` is the per-pulse kernel and the numpy pass's reference.
-Every constant it reads that derives from the config (array shape, both
-target windows with their triangular products, the write statistics, the
-noise sigma and its -sigma**2/2 shift, the curve anchors and slopes, the
-window bounds) comes from one tuple cached on the frozen ``DeviceConfig``;
-the draws, conductance, sensed grid and ledger are read from the crossbar on
-every call.  Each of its pulses is one ledger entry; the numpy pass is one
+Every constant it reads that derives from the config comes from one tuple
+cached on the frozen ``DeviceConfig`` (``DeviceConfig._pulse``); the draws,
+conductance, sensed grid and ledger are read from the crossbar on every call.
+Each of its pulses is one ledger entry; the numpy pass is one
 ``EnergyLedger.record_all`` call, which spans on ``program_cell`` and
 ``EnergyLedger.record`` do not see.
 """
@@ -190,9 +189,8 @@ class DeviceConfig:
         return self.v_read ** 2 * conductance_us * self.t_read * 1e3
 
     def _full_read_nj(self, conductance_us: float) -> float:
-        """A bound on the energy (nJ) of one read of every cell at
-        ``conductance_us``: a read's total is a sum of row totals, each a sum
-        over its row, so in any order it rounds up by less than the margin."""
+        """A bound on the energy (nJ) of one read of every cell at ``conductance_us``:
+        a sum of row sums, in any order, rounds up by less than the margin."""
         margin = 1.0 + (self.rows + self.cols) * 2.0 ** -52
         return self._read_energy_nj(conductance_us * self.rows * self.cols * margin)
 
@@ -376,13 +374,8 @@ class Crossbar:
         ``rng.lognormal(mean=shift, sigma=sigma)`` computes it, with shift =
         -sigma**2 / 2 (``math.exp`` is the libm call numpy's lognormal makes; a
         ufunc such as ``np.exp`` may take a SIMD path).  A draw whose branch is
-        not taken goes unused.
-
-        The config's constants come from ``DeviceConfig._pulse``, computed once
-        per config, and ``stored_energy_nj`` and ``classify_value`` are inlined
-        with the same arithmetic, so a write gives the bits those calls would.
-        The write entries call it once per cell, held or not, and each pulse
-        is one ledger entry, except for :meth:`program_high`'s numpy pass.
+        not taken goes unused.  ``stored_energy_nj`` and ``classify_value`` are
+        inlined with the same arithmetic, so a write gives the bits they would.
         """
         (rows, cols, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, slopes, lo0, hi0, lo1, hi1) = self.config._pulse
@@ -430,7 +423,10 @@ class Crossbar:
             energy *= math.exp(shift + sigma * noise)
         self.ledger.record(kind, energy)
         self.conductance[row, col] = final
-        self.row_g[row] += final - start
+        row_g = self.row_g
+        total = row_g[row] + (final - start)
+        # A total below the start may have cancelled the rounding it carried.
+        row_g[row] = total if total >= start else float(self.conductance[row].sum())
         # classify_value inlined.
         self.state[row, col] = (
             _STATE0 if lo0 <= final <= hi0 else _STATE1 if lo1 <= final <= hi1 else _INDETERMINATE
@@ -457,15 +453,17 @@ class Crossbar:
 
         On a crossbar that has drawn no block yet, as every fresh one,
         ``_BATCH_MIN`` cells or more take one numpy pass of whole blocks (see
-        the module docstring) with the kernel's draws, bits, ledger totals and
-        flags: a cell that senses STATE0 lies below the STATE1 window, so every
-        cell pulses and a shortcut write lands by triangular(lo, lo, nominal).
-        Curve energies come from ``np.interp`` (``stored_energy_nj``), the noise
-        factor from ``math.exp`` per pulse.  If ``math.exp`` overflows or the
-        ledger refuses the energies, every value drawn goes back to the head of
-        the streams and, as for fewer cells or a crossbar that has drawn before,
-        :meth:`program_cell` writes cell by cell and raises as it would have
-        (only the generators' block positions stand further on).
+        the module docstring) with the kernel's draws, bits, ledger and row
+        totals and flags: a cell that senses STATE0 lies below the STATE1
+        window, so every cell pulses and a shortcut write lands by
+        triangular(lo, lo, nominal).  Curve energies come from ``np.interp``
+        (``stored_energy_nj``), the noise factor from ``math.exp`` per pulse.
+        If ``math.exp`` overflows, the ledger refuses the energies or a row's
+        falls could bring a pulse to sum its row again, every value drawn goes
+        back to the head of the streams and, as for fewer cells or a crossbar
+        that has drawn before, :meth:`program_cell` writes cell by cell and
+        raises as it would have (only the generators' block positions stand
+        further on).
         """
         (_, _, windows, p_success, shortcut, spread, sigma, shift,
          gs, es, _, lo0, hi0, lo1, hi1) = self.config._pulse
@@ -495,16 +493,20 @@ class Crossbar:
             final = np.where(success < p_success, final, nominal + spread * miss)
             final = np.where(final < gs[0], gs[0], np.where(final > gs[-1], gs[-1], final))
             energy = np.abs(np.interp(final, gs, es) - np.interp(start, gs, es))
+            row_g = np.array(self.row_g)
+            falls = np.bincount(rows, np.maximum(start - final, 0.0), row_g.size)
             try:
                 if sigma != 0:
                     energy *= np.array(list(map(math.exp, (shift + sigma * noise).tolist())))
+                # Less its falls, each total keeps twice any start: no row is summed again.
+                if not (row_g - falls >= 2 * hi0).all():
+                    raise ValueError("a row's total could fall below a start")
                 self.ledger.record_all("init", energy)
             except (OverflowError, ValueError):
                 self._stream(uniforms.tolist(), normals.tolist())
             else:
                 self._stream(uniforms[2 * k :].tolist(), normals[2 * k :].tolist())
                 self.conductance[rows, cols] = final
-                row_g = np.array(self.row_g)
                 np.add.at(row_g, rows, final - start)  # in cell order, as the pulses add
                 self.row_g = row_g.tolist()
                 self.state[rows, cols] = np.where(

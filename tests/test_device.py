@@ -519,13 +519,14 @@ def _assert_row_totals_hold(xb, picks, exact: bool) -> None:
 def _row_total_mix(cfg, seed, exact: bool) -> None:
     """Init a blank array by ``program_high``'s numpy pass and, on a twin that
     has pulsed, by its per-cell path; then rounds of ``program_cell``,
-    ``program`` batches and ``inject_fault`` on both, checking the row
-    totals after every step.  Faults on an exact device hold its two
-    nominal conductances, else starts across and beyond the windows."""
+    ``program`` batches, ``inject_fault`` and rewrites of the faulted cells
+    on both, checking the row totals after every step.  Faults on an exact
+    device hold its two nominal conductances, else starts across and beyond
+    the windows, up to far beyond the curve."""
     picks = np.random.default_rng(seed)
     faults = (cfg.g_state0, cfg.g_state1) if exact else (
         0.0, cfg.g_state0 - cfg.tolerance - 3.0, cfg.g_state0 + 1.5,
-        (cfg.g_state0 + cfg.g_state1) / 2, cfg.g_state1 + cfg.tolerance + 4.0, 160.0)
+        (cfg.g_state0 + cfg.g_state1) / 2, cfg.g_state1 + cfg.tolerance + 4.0, 160.0, 1e20)
     batch, pulsed = new_crossbar(cfg, seed), new_crossbar(cfg, seed)
     pulsed.program_cell(0, 0, CellState.STATE1)
     pulsed.inject_fault(0, 0, cfg.g_state0)  # blank again, with blocks drawn
@@ -545,9 +546,12 @@ def _row_total_mix(cfg, seed, exact: bool) -> None:
             xb.program([(int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols)),
                          CellState(int(picks.integers(2)))) for _ in range(40)])
             _assert_row_totals_hold(xb, picks, exact)
-            for _ in range(10):
-                row, col = int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols))
+            faulted = [(int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols)))
+                       for _ in range(10)]
+            for row, col in faulted:
                 xb.inject_fault(row, col, faults[int(picks.integers(len(faults)))])
+            _assert_row_totals_hold(xb, picks, exact)
+            xb.program([(row, col, CellState(int(picks.integers(2)))) for row, col in faulted])
             _assert_row_totals_hold(xb, picks, exact)
 
 
@@ -559,6 +563,69 @@ def test_row_totals_follow_every_write(overrides):
 def test_reads_on_an_ideal_device_book_the_full_sum_bit_for_bit():
     # Every conductance is 20 or 70 uS, so every partial sum is an exact integer.
     _row_total_mix(exact_device(rows=12, cols=24), seed=4, exact=True)
+
+
+def test_a_rewritten_fault_far_beyond_the_curve_sums_its_row_again():
+    cfg = DeviceConfig()
+    xb = new_crossbar(cfg, seed=1)
+    xb.program_cell(0, 1, CellState.STATE1)
+    xb.inject_fault(0, 0, 1e20)  # the row's total rounds the other cells away
+    xb.program_cell(0, 0, CellState.STATE0)
+    xb.program_cell(0, 1, CellState.STATE0)
+    assert xb.row_g[0] == pytest.approx(float(xb.conductance[0].sum()), rel=1e-12, abs=0)
+    drive = np.zeros(cfg.rows, dtype=int)
+    drive[0] = 1
+    assert _read_nj(xb, drive) == pytest.approx(_full_sum_read_nj(xb, drive), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_rows_emptied_by_failed_writes_keep_exact_non_negative_totals(cols):
+    # Every write misses, often to 0 uS: rows fall to a few small cells or to
+    # nothing, where an add can cancel all of a total's value (with the adds
+    # alone, seed 1 at 2 columns left a row of two 0 uS cells at -1.4e-14).
+    cfg = DeviceConfig(rows=2, cols=cols, p_cell_success=0.0, miss_spread=60.0)
+    for seed in range(4):
+        xb, picks = new_crossbar(cfg, seed), np.random.default_rng(seed)
+        for _ in range(300):
+            row, col = int(picks.integers(cfg.rows)), int(picks.integers(cfg.cols))
+            xb.program_cell(row, col, CellState(int(picks.integers(2))))
+            # abs=0: a row whose cells are all 0 uS has a total of exactly 0.
+            assert xb.row_g == pytest.approx(xb.conductance.sum(axis=1).tolist(), rel=1e-12, abs=0)
+            drive = np.zeros(cfg.rows, dtype=int)
+            drive[row] = 1
+            assert _read_nj(xb, drive) == pytest.approx(_full_sum_read_nj(xb, drive),
+                                                        rel=1e-12, abs=0)
+
+
+def test_an_init_whose_falls_could_empty_a_row_writes_cell_by_cell():
+    # Two columns and writes that all miss: falls can take a row's total below
+    # a start, where a pulse sums its row again, so the numpy pass stands down.
+    # (Its adds would leave other bits in two of these 64 rows.)
+    cfg = DeviceConfig(rows=device_module._BATCH_MIN, cols=2, p_cell_success=0.0,
+                       miss_spread=60.0)
+    rows, cols = np.divmod(np.arange(cfg.rows * cfg.cols), cfg.cols)
+    starts = np.random.default_rng(1).uniform(cfg.g_state0 - cfg.tolerance,
+                                              cfg.g_state0 + cfg.tolerance, rows.size)
+    xb, single = new_crossbar(cfg, seed=1), new_crossbar(cfg, seed=1)
+    for each in (xb, single):
+        for row, col, start in zip(rows.tolist(), cols.tolist(), starts.tolist()):
+            each.inject_fault(row, col, start)
+    pulses = []
+    program_cell = xb.program_cell
+
+    def recording_program_cell(*args):
+        pulses.append(args)
+        return program_cell(*args)
+
+    xb.program_cell = recording_program_cell
+    flags = xb.program_high(rows, cols)
+    assert len(pulses) == rows.size
+    outcomes = [single.program_cell(row, col, CellState.STATE1, "init")
+                for row, col in zip(rows.tolist(), cols.tolist())]
+    assert flags.tolist() == [out.landed_in_window for out in outcomes]
+    del xb.program_cell
+    _assert_same_crossbars(xb, single)
+    assert min(xb.row_g) < 2 * (cfg.g_state0 + cfg.tolerance)  # a row did fall that far
 
 
 def test_differential_nullification():
