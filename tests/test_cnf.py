@@ -71,6 +71,27 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message,line",
+    [
+        ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "duplicate problem header", 2),
+        ("c x\np cnf 3\n1 2 3 0\n", "malformed header 'p cnf 3'", 2),
+        ("p cnf 3 one\n1 2 3 0\n", "malformed header 'p cnf 3 one'", 1),
+        ("p cnf 0 1\n", "header counts must be positive", 1),
+        ("c x\np cnf 3 0\n", "header counts must be positive", 2),
+        ("p cnf 3 1\n1 2 x 0\n", "non-integer token 'x'", 2),
+        ("c only\n\n", "missing 'p cnf' header", 2),
+        ("", "missing 'p cnf' header", 1),
+        ("p cnf 3 1\n1 2 3 0 0\n", "clause has 0 literals, expected 3", 2),
+    ],
+)
+def test_parse_error_messages_and_lines(text, message, line):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
 def test_tautology_and_repeat_rejected_at_construction():
     with pytest.raises(CnfError):
         Clause.of(1, -1, 2)
