@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cnf import Clause, Cnf
+from .cnf import Cnf
 from .device import DeviceConfig, new_crossbar
 from .ising import build_graph, kernel_decompose
 from .solver import RunReport, SolverConfig, check_fits, run
@@ -28,10 +28,10 @@ OVERALL_LABEL = "Overall"
 def paper_instances() -> dict[str, Cnf]:
     """The four built-in two-clause instances, keyed by connection count."""
     return {
-        "0-X": Cnf(6, (Clause.of(1, 2, 3), Clause.of(4, 5, -6))),
-        "1-X": Cnf(4, (Clause.of(1, -2, 3), Clause.of(2, 3, 4))),
-        "2-X": Cnf(4, (Clause.of(1, 2, -3), Clause.of(-2, 3, -4))),
-        "3-X": Cnf(3, (Clause.of(1, 2, 3), Clause.of(-1, -2, -3))),
+        "0-X": Cnf(6, [(1, 2, 3), (4, 5, -6)]),
+        "1-X": Cnf(4, [(1, -2, 3), (2, 3, 4)]),
+        "2-X": Cnf(4, [(1, 2, -3), (-2, 3, -4)]),
+        "3-X": Cnf(3, [(1, 2, 3), (-1, -2, -3)]),
     }
 
 

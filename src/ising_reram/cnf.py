@@ -7,8 +7,10 @@ crossbar solver at desk scale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -86,26 +88,54 @@ class Clause:
 
 @dataclass(frozen=True)
 class Cnf:
-    """A 3-SAT instance: ``num_vars`` variables, an ordered tuple of clauses."""
+    """A 3-SAT instance: ``num_vars`` variables and ``lits``, a read-only (m, 3)
+    int64 array of signed literals, one clause per row, each row three
+    distinct variables in 1..num_vars.  Equal when both fields are."""
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    lits: np.ndarray
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
             raise CnfError(f"num_vars must be >= 1, got {self.num_vars}")
-        if len(self.clauses) < 1:
+        try:
+            lits = np.array(self.lits, dtype=np.int64)
+        except OverflowError as exc:
+            raise CnfError(f"a literal does not fit in int64: {exc}") from exc
+        if len(lits) < 1:
             raise CnfError("a CNF needs at least one clause")
-        for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.variable > self.num_vars:
-                    raise CnfError(
-                        f"variable {lit.variable} out of range (num_vars={self.num_vars})"
-                    )
+        if lits.ndim != 2 or lits.shape[1] != 3:
+            raise CnfError(f"clauses must have exactly 3 literals, got shape {lits.shape}")
+        var = np.abs(lits)
+        if not var.all():
+            raise CnfError("literal 0 is reserved as the clause terminator")
+        a, b, c = var.T
+        repeats = (a == b) | (a == c) | (b == c)
+        if repeats.any():
+            ints = tuple(lits[repeats.argmax()].tolist())
+            raise CnfError(f"clause {ints} repeats a variable")
+        # abs(-2**63) wraps to a negative int64, so test below 1 as well.
+        outside = (var < 1) | (var > self.num_vars)
+        if outside.any():
+            variable = abs(int(lits.flat[outside.argmax()]))
+            raise CnfError(f"variable {variable} out of range (num_vars={self.num_vars})")
+        lits.flags.writeable = False
+        object.__setattr__(self, "lits", lits)
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.lits)
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        return tuple(Clause.of(*row) for row in self.lits.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Cnf) and self.num_vars == other.num_vars
+                and np.array_equal(self.lits, other.lits))
+
+    def __hash__(self) -> int:
+        return hash((self.num_vars, self.lits.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -114,41 +144,47 @@ class Assignment:
 
     values: tuple[bool, ...]
 
-    def value(self, variable: int) -> bool:
-        return self.values[variable - 1]
-
     @classmethod
     def from_index(cls, index: int, num_vars: int) -> "Assignment":
         """Decode an integer as bits, variable 1 at the least significant bit."""
         return cls(tuple(bool((index >> v) & 1) for v in range(num_vars)))
 
 
-def _clause_from_ints(lits: list[int], num_vars: int, line: int) -> Clause:
-    if len(lits) != 3:
-        raise DimacsError(f"clause has {len(lits)} literals, expected 3", line)
-    for lit in lits:
-        if abs(lit) > num_vars:
-            raise DimacsError(
-                f"variable {abs(lit)} out of range (num_vars={num_vars})", line
-            )
-    try:
-        return Clause.of(*lits)
-    except CnfError as exc:
-        raise DimacsError(str(exc), line) from exc
+# A DIMACS integer; int() alone would also take "1_0" and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF text into a validated 3-SAT instance.
 
     Accepts ``c`` comment lines, a single ``p cnf <n> <m>`` header, and clauses
-    as whitespace-separated signed integers terminated by ``0`` (clauses may
-    span lines).  A line starting with ``%`` ends the input, as in the SATLIB
-    ``uf*`` files.  Clause order is preserved.  All structural errors report
-    the offending line number via :class:`DimacsError`.
+    as whitespace-separated signed ASCII decimal integers terminated by ``0``
+    (clauses may span lines).  A line starting with ``%`` ends the input, as in
+    the SATLIB ``uf*`` files.  Clause order is preserved.  All structural
+    errors report the offending line number via :class:`DimacsError`.
+
+    Text that opens with its header and then holds only clauses, each three
+    literals and a ``0``, is read in one numpy pass; any other text, and any
+    error, goes through the line-by-line parser.
     """
+    head, _, body = text.partition("\n")
+    parts = head.split()
+    if (len(parts) == 4 and parts[:2] == ["p", "cnf"] and all(map(_DECIMAL.fullmatch, parts[2:]))
+            and len(head.splitlines()) == 1 and body.isascii() and "_" not in body):
+        try:
+            rows = np.array(body.split(), dtype=np.int64).reshape(-1, 4)
+            if rows[:, :3].all() and not rows[:, 3].any() and len(rows) == int(parts[3]):
+                return Cnf(int(parts[2]), rows[:, :3])
+        except (ValueError, OverflowError):
+            pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Cnf:
+    """``parse_dimacs`` line by line: the reference, naming each error's line."""
     num_vars: Optional[int] = None
     declared_clauses = 0
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     pending: list[int] = []
     pending_line = 0
     line_no = 0
@@ -162,24 +198,28 @@ def parse_dimacs(text: str) -> Cnf:
             if num_vars is not None:
                 raise DimacsError("duplicate problem header", line_no)
             parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(map(_DECIMAL.fullmatch, parts[2:])):
                 raise DimacsError(f"malformed header {stripped!r}", line_no)
-            try:
-                num_vars, declared_clauses = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise DimacsError(f"malformed header {stripped!r}", line_no) from exc
+            num_vars, declared_clauses = int(parts[2]), int(parts[3])
             if num_vars < 1 or declared_clauses < 1:
                 raise DimacsError("header counts must be positive", line_no)
             continue
         if num_vars is None:
             raise DimacsError("clause data before 'p cnf' header", line_no)
         for token in stripped.split():
-            try:
-                value = int(token)
-            except ValueError as exc:
-                raise DimacsError(f"non-integer token {token!r}", line_no) from exc
+            if not _DECIMAL.fullmatch(token):
+                raise DimacsError(f"non-integer token {token!r}", line_no)
+            value = int(token)
             if value == 0:
-                clauses.append(_clause_from_ints(pending, num_vars, line_no))
+                if len(pending) != 3:
+                    raise DimacsError(f"clause has {len(pending)} literals, expected 3", line_no)
+                beyond = [abs(lit) for lit in pending if abs(lit) > num_vars]
+                if beyond:
+                    message = f"variable {beyond[0]} out of range (num_vars={num_vars})"
+                    raise DimacsError(message, line_no)
+                if len({abs(lit) for lit in pending}) != 3:
+                    raise DimacsError(f"clause {tuple(pending)} repeats a variable", line_no)
+                clauses.append(pending)
                 pending = []
             else:
                 if not pending:
@@ -194,14 +234,13 @@ def parse_dimacs(text: str) -> Cnf:
             f"header declares {declared_clauses} clauses, found {len(clauses)}",
             max(line_no, 1),
         )
-    return Cnf(num_vars, tuple(clauses))
+    return Cnf(num_vars, clauses)
 
 
 def emit_dimacs(cnf: Cnf) -> str:
     """Render a Cnf as DIMACS text, one ``0``-terminated clause per line."""
     lines = [f"p cnf {cnf.num_vars} {cnf.num_clauses}"]
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(i) for i in clause.to_ints()) + " 0")
+    lines += [f"{a} {b} {c} 0" for a, b, c in cnf.lits.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -217,10 +256,8 @@ def verify_assignment(cnf: Cnf, assignment: Assignment) -> bool:
             f"assignment covers {len(assignment.values)} variables, "
             f"instance has {cnf.num_vars}"
         )
-    return all(
-        any(lit.holds(assignment.value(lit.variable)) for lit in clause.literals)
-        for clause in cnf.clauses
-    )
+    values = np.array(assignment.values, dtype=bool)[np.abs(cnf.lits) - 1]
+    return bool((values != (cnf.lits < 0)).any(axis=1).all())
 
 
 def brute_force_sat(cnf: Cnf) -> Optional[Assignment]:
@@ -233,17 +270,9 @@ def brute_force_sat(cnf: Cnf) -> Optional[Assignment]:
     n = cnf.num_vars
     if n > MAX_BRUTE_FORCE_VARS:
         raise CnfError(f"brute force is limited to n <= {MAX_BRUTE_FORCE_VARS}, got {n}")
-    var_masks = []
-    neg_patterns = []
-    for clause in cnf.clauses:
-        mask = pattern = 0
-        for lit in clause.literals:
-            bit = 1 << (lit.variable - 1)
-            mask |= bit
-            if lit.negated:
-                pattern |= bit
-        var_masks.append(mask)
-        neg_patterns.append(pattern)
+    bits = 1 << (np.abs(cnf.lits) - 1)
+    var_masks = bits.sum(axis=1).tolist()
+    neg_patterns = (bits * (cnf.lits < 0)).sum(axis=1).tolist()
     total = 1 << n
     chunk = 1 << 16
     for start in range(0, total, chunk):
@@ -272,8 +301,5 @@ def random_3sat(n: int, m: int, seed: int) -> Cnf:
     clauses = []
     for _ in range(m):
         variables = rng.choice(n, size=3, replace=False) + 1
-        negated = rng.random(3) < 0.5
-        clauses.append(
-            Clause(tuple(Literal(int(v), bool(neg)) for v, neg in zip(variables, negated)))
-        )
-    return Cnf(n, tuple(clauses))
+        clauses.append(np.where(rng.random(3) < 0.5, -variables, variables))
+    return Cnf(n, clauses)

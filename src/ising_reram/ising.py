@@ -18,60 +18,58 @@ is satisfiable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .cnf import Assignment, Cnf, CnfError, Literal, verify_assignment
+from .cnf import Assignment, Cnf, CnfError, verify_assignment
 
 MAX_EXHAUSTIVE_NODES = 24
 
 
-@dataclass(frozen=True)
 class IsingGraph:
-    """The literal of every node plus an undirected edge set (u < v pairs).
+    """Node literals and an undirected edge list.  Nodes are clause-major: node i
+    holds the signed literal ``lits[i]``, literal i % 3 of clause i // 3.
+    ``edge_ends`` is the edge list as two read-only int64 arrays (u, v), u < v,
+    sorted by (u, v)."""
 
-    Nodes are numbered clause-major: node i is literal i % 3 of clause i // 3.
-    """
+    def __init__(self, lits, edge_ends) -> None:
+        self.lits, u, v = (np.array(a, dtype=np.int64) for a in (lits, *edge_ends))
+        n = len(self.lits)
+        keys = u * n + v
+        bad = (u < 0) | (u >= v) | (v >= n) | (keys <= np.append(-1, keys[:-1]))
+        if len(u) != len(v) or bad.any():
+            i = int(bad.argmax())
+            raise CnfError(f"bad edge ({u[i]}, {v[i]}) for {n} nodes, or out of (u, v) order")
+        for arr in (self.lits, u, v):
+            arr.flags.writeable = False
+        self.edge_ends = (u, v)
 
-    literals: tuple[Literal, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        n = len(self.literals)
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                raise CnfError(f"bad edge ({u}, {v}) for {n} nodes")
+    @classmethod
+    def _unchecked(cls, lits: np.ndarray, u: np.ndarray, v: np.ndarray) -> "IsingGraph":
+        """A graph from read-only int64 arrays that already hold the invariants."""
+        graph = cls.__new__(cls)
+        graph.lits, graph.edge_ends = lits, (u, v)
+        return graph
 
     @property
     def num_nodes(self) -> int:
-        return len(self.literals)
+        return len(self.lits)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ends[0])
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
+        # In (u, v) order every list fills ascending.
+        for u, v in zip(*map(np.ndarray.tolist, self.edge_ends)):
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(nb)) for nb in adj)
-
-    @cached_property
-    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoints (u, v) of every edge, in the edge set's order, as two
-        read-only index arrays."""
-        flat = np.fromiter(
-            chain.from_iterable(self.edges), dtype=np.int64, count=2 * self.num_edges
-        )
-        flat.flags.writeable = False
-        return flat[0::2], flat[1::2]
+        return tuple(map(tuple, adj))
 
 
 @dataclass
@@ -97,23 +95,36 @@ class HamiltonianParams:
 
 
 def build_graph(cnf: Cnf) -> IsingGraph:
-    """Build the reduction graph: 3m nodes, clause triangles, conflict edges."""
-    literals = tuple(chain.from_iterable(clause.literals for clause in cnf.clauses))
-    edges: set[tuple[int, int]] = set()
-    for base in range(0, len(literals), 3):
-        edges.update({(base, base + 1), (base, base + 2), (base + 1, base + 2)})
-    # Conflict edges: each occurrence of a literal with each later occurrence
-    # of its negation (a clause never holds a variable twice, so a later node
-    # is in a later clause).
-    occurrences: dict[int, list[int]] = {}
-    for i, lit in enumerate(literals):
-        occurrences.setdefault(lit.to_int(), []).append(i)
-    for lit, group in occurrences.items():
-        for a in group:
-            for b in occurrences.get(-lit, ()):
-                if a < b:
-                    edges.add((a, b))
-    return IsingGraph(literals, frozenset(edges))
+    """Build the reduction graph: 3m nodes, clause triangles, conflict edges.
+
+    Every positive occurrence is paired with each negative occurrence of its
+    variable, which lies in another clause.  Edge (u, v) is the key u * n + v,
+    so the sorted keys give the edge list in (u, v) order.
+    """
+    lits = cnf.lits.ravel()
+    n = len(lits)
+    if n < 24:  # below about 8 clauses Python lists beat the numpy calls' fixed costs
+        occurrences: dict[int, list[int]] = {}
+        for i, lit in enumerate(lits.tolist()):
+            occurrences.setdefault(lit, []).append(i)
+        keys = [b * (n + 1) + d for b in range(0, n, 3) for d in (1, 2, n + 2)]
+        keys += [min(a, b) * n + max(a, b) for lit, group in occurrences.items() if lit > 0
+                 for a in group for b in occurrences.get(-lit, ())]
+    else:
+        tri = np.arange(0, n * (n + 1), 3 * (n + 1))  # the key of (3c, 3c), per clause c
+        neg = (lits < 0).nonzero()[0]
+        neg = neg[(-lits[neg]).argsort(kind="stable")]  # grouped by variable
+        counts = np.bincount(-lits[neg], minlength=cnf.num_vars + 1)
+        pos = (lits > 0).nonzero()[0]
+        k = counts[lits[pos]]
+        a = pos.repeat(k)
+        # Place j of a's repeat run takes its variable's j-th negative occurrence.
+        b = neg[np.arange(len(a)) + ((counts.cumsum() - counts)[lits[pos]] - k.cumsum() + k).repeat(k)]
+        keys = np.concatenate((tri + 1, tri + 2, tri + (n + 2), np.minimum(a, b) * (n - 1) + a + b))
+    keys.sort()
+    u, v = np.divmod(keys, n)
+    u.flags.writeable = v.flags.writeable = False
+    return IsingGraph._unchecked(lits, u, v)
 
 
 def adjacency_matrix(graph: IsingGraph) -> np.ndarray:
@@ -134,15 +145,15 @@ def kernel_decompose(graph: IsingGraph) -> KernelProfile:
     if graph.num_nodes % 3 != 0:
         raise CnfError("kernel decomposition needs a clause-major reduction graph")
     m = graph.num_nodes // 3
-    pair_counts = Counter((u // 3, v // 3) for u, v in graph.edges if u // 3 != v // 3)
-    profile = KernelProfile(core_count=m)
-    for pair, count in sorted(pair_counts.items()):
-        if count > 3:
-            raise CnfError(
-                f"clause pair {pair} has {count} conflict edges; input is corrupted"
-            )
-        profile.inconn_histogram[count] += 1
-    return profile
+    cu, cv = (ends // 3 for ends in graph.edge_ends)
+    between = cu != cv
+    pairs, counts = np.unique(cu[between] * m + cv[between], return_counts=True)
+    if (counts > 3).any():
+        i = int(np.argmax(counts > 3))
+        pair = divmod(int(pairs[i]), m)
+        raise CnfError(f"clause pair {pair} has {counts[i]} conflict edges; input is corrupted")
+    histogram = np.bincount(counts, minlength=4).tolist()
+    return KernelProfile(m, {count: histogram[count] for count in (1, 2, 3)})
 
 
 def _check_spins(graph: IsingGraph, spins: Sequence[int]) -> np.ndarray:
@@ -162,7 +173,8 @@ def hamiltonian_energy(
     """Penalty energy of a +/-1 spin state (integer-exact accumulation)."""
     s = _check_spins(graph, spins)
     x = (1 + s) // 2
-    edge_sum = sum(int(x[u]) * int(x[v]) for u, v in graph.edges)
+    u, v = graph.edge_ends
+    edge_sum = int(x[u] @ x[v])
     return float(params.a_pen * edge_sum - params.b_pen * int(x.sum()))
 
 
@@ -176,7 +188,8 @@ def delta_oracle(
     s = _check_spins(graph, spins)
     if not (0 <= node < graph.num_nodes):
         raise ValueError(f"node {node} out of range")
-    occupied = sum((1 + int(s[i])) // 2 for i in graph.neighbor_lists[node])
+    u, v = graph.edge_ends
+    occupied = int((s[v[u == node]] > 0).sum() + (s[u[v == node]] > 0).sum())
     return float(-int(s[node]) * (params.a_pen * occupied - params.b_pen))
 
 
@@ -231,9 +244,9 @@ def decode_solution(
     u, v = graph.edge_ends
     if (up[u] & up[v]).any():
         return None
-    values = [False] * cnf.num_vars
-    for i in chosen.tolist():
-        lit = graph.literals[i]
-        values[lit.variable - 1] = not lit.negated
-    assignment = Assignment(tuple(values))
+    # Chosen literals of one variable agree: opposite ones share an edge.
+    lits = graph.lits[chosen]
+    values = np.zeros(cnf.num_vars, dtype=bool)
+    values[np.abs(lits) - 1] = lits > 0
+    assignment = Assignment(tuple(values.tolist()))
     return assignment if verify_assignment(cnf, assignment) else None

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ising_reram import Clause, Cnf, IsingGraph, Literal, ideal_config
+from ising_reram import Cnf, IsingGraph, ideal_config
 
 
 # Device settings that each take their own branch of the per-pulse kernel.
@@ -24,20 +24,20 @@ DEVICE_VARIANTS = pytest.mark.parametrize(
 
 @pytest.fixture
 def three_x() -> Cnf:
-    return Cnf(3, (Clause.of(1, 2, 3), Clause.of(-1, -2, -3)))
+    return Cnf(3, [(1, 2, 3), (-1, -2, -3)])
 
 
 @pytest.fixture
 def zero_x() -> Cnf:
-    return Cnf(6, (Clause.of(1, 2, 3), Clause.of(4, 5, -6)))
+    return Cnf(6, [(1, 2, 3), (4, 5, -6)])
 
 
 def unsat_eight_clause() -> Cnf:
     """All eight polarity combinations over {1,2,3}: minimally unsatisfiable."""
-    clauses = tuple(
-        Clause.of(*[v if sign else -v for v, sign in zip((1, 2, 3), signs)])
+    clauses = [
+        [v if sign else -v for v, sign in zip((1, 2, 3), signs)]
         for signs in product([True, False], repeat=3)
-    )
+    ]
     return Cnf(3, clauses)
 
 
@@ -51,6 +51,6 @@ def graph_from_edges(num_nodes: int, edges) -> IsingGraph:
 
     Not a Cnf reduction; kernel decomposition and decoding are undefined on it.
     """
-    literals = tuple(Literal(i + 1) for i in range(num_nodes))
-    normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    return IsingGraph(literals, normalized)
+    normalized = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    ends = ([u for u, _ in normalized], [v for _, v in normalized])
+    return IsingGraph(range(1, num_nodes + 1), ends)

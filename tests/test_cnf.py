@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+import ising_reram.cnf as cnf_module
 
 from ising_reram import (
     Assignment,
@@ -83,6 +86,11 @@ def test_parse_errors(text, fragment):
         ("c only\n\n", "missing 'p cnf' header", 2),
         ("", "missing 'p cnf' header", 1),
         ("p cnf 3 1\n1 2 3 0 0\n", "clause has 0 literals, expected 3", 2),
+        # DIMACS integers are ASCII decimal: int() alone reads "1_0" as 10 and "١" as 1.
+        ("p cnf 10 1\n1_0 2 3 0\n", "non-integer token '1_0'", 2),
+        ("p cnf 3 1\nc x\n\u0661 2 3 0\n", "non-integer token '\u0661'", 3),
+        ("p cnf 1_0 1\n1 2 3 0\n", "malformed header 'p cnf 1_0 1'", 1),
+        ("p cnf 3 \u0661\n1 2 3 0\n", "malformed header 'p cnf 3 \u0661'", 1),
     ],
 )
 def test_parse_error_messages_and_lines(text, message, line):
@@ -90,6 +98,86 @@ def test_parse_error_messages_and_lines(text, message, line):
         parse_dimacs(text)
     assert str(err.value) == f"line {line}: {message}"
     assert err.value.line == line
+
+
+# Texts on both sides of the one-pass reader's limits: comments, CRLF, tabs,
+# signs, leading zeros, -0, int64 overflow, the % marker, no final newline.
+AGREEMENT_TEXTS = [
+    "c a comment\n\np cnf 4 2\nc another\n1 2 3 0\n\n-1 -2 4 0\n",
+    "p cnf 4 2\r\n1 2 3 0\r\n-1 -2 4 0\r\n",
+    "p\tcnf 4 2\n1\t2 3\t0\n\t-1 -2 4 0\n",
+    "p cnf 4 2\n1 2\n3 0 -1\n-2 4 0\n",
+    "p cnf 4 2\n+1 2 3 0\n-1 -2 +4 +0\n",
+    "p cnf 04 02\n01 2 3 0\n-1 -02 4 00\n",
+    "p cnf 4 1\n1 2 3 -0\n",
+    "p cnf 4 1\n1 2 -0 3 0\n",
+    "p cnf 3 1\n99999999999999999999 2 3 0\n",
+    "p cnf 3 1\n-9223372036854775808 2 3 0\n",
+    "p cnf 3 1\n-99999999999999999999 2 3 0\n",
+    "p cnf 3 1\n1 -2 3 0\n%\n0\n",
+    "p cnf 3 2\n1 -2 3 0\n%\n-1 2 3 0\n",
+    "p cnf 3 2\n1 2 3 0\n-1 -2 -3 0",
+    "p cnf 3 2\n1 2 3 0\n-1 -2 -3",
+    "p\x0ccnf 3 1\n1 2 3 0\n",
+    "p cnf 3 1\x0b1 2 3 0\n",
+    "p cnf 3 1\n1 2 3 0\x0bp cnf 3 1\n",
+    "p cnf 3 1\n1 1 3 0\n",
+    "p cnf 3 2\n1 2 3 0\n",
+    "p cnf 2 1\n1 2 3 0\n",
+    "p cnf 0 1\n1 2 3 0\n",
+    "p cnf 3 0\n",
+    "\ufeffp cnf 3 1\n1 2 3 0\n",
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DimacsError as exc:
+        return (str(exc), exc.line)
+
+
+@pytest.mark.parametrize("text", AGREEMENT_TEXTS)
+def test_one_pass_and_line_parsers_agree(text):
+    assert _outcome(parse_dimacs, text) == _outcome(cnf_module._parse_lines, text)
+
+
+def test_well_formed_text_takes_the_one_pass_reader(monkeypatch):
+    def refuse(text):
+        raise AssertionError("line-by-line parser called")
+
+    texts = [emit_dimacs(random_3sat(50, 200, 1)), *AGREEMENT_TEXTS[1:7]]
+    expected = [parse_dimacs(text) for text in texts]
+    monkeypatch.setattr(cnf_module, "_parse_lines", refuse)
+    assert [parse_dimacs(text) for text in texts] == expected
+
+
+@pytest.mark.parametrize(
+    "num_vars,lits,message",
+    [
+        (0, [(1, 2, 3)], "num_vars must be >= 1, got 0"),
+        (3, [], "a CNF needs at least one clause"),
+        (3, [(1, 2)], "clauses must have exactly 3 literals, got shape (1, 2)"),
+        (3, [(1, 2, 3), (1, 0, 2)], "literal 0 is reserved as the clause terminator"),
+        (3, [(1, 2, 3), (1, -1, 2), (2, 2, 3)], "clause (1, -1, 2) repeats a variable"),
+        (3, [(1, 2, 3), (-1, 2, -4)], "variable 4 out of range (num_vars=3)"),
+        (3, [(1, 2, -2**63)], "variable 9223372036854775808 out of range (num_vars=3)"),
+    ],
+)
+def test_cnf_validation_messages(num_vars, lits, message):
+    with pytest.raises(CnfError) as err:
+        Cnf(num_vars, lits)
+    assert str(err.value) == message
+
+
+def test_cnf_is_a_read_only_value():
+    a, b = random_3sat(6, 5, 3), Cnf(6, random_3sat(6, 5, 3).lits.tolist())
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Cnf(6, a.lits[::-1]) and a != Cnf(7, a.lits)
+    assert a.lits.shape == (5, 3) and a.lits.dtype == np.int64
+    with pytest.raises(ValueError):
+        a.lits[0, 0] = 4
+    assert [c.to_ints() for c in a.clauses] == [tuple(row) for row in a.lits.tolist()]
 
 
 def test_tautology_and_repeat_rejected_at_construction():
@@ -139,7 +227,7 @@ def test_brute_force_zero_x_all_true_variant(zero_x):
 
 
 def test_brute_force_guard():
-    cnf = Cnf(25, (Clause.of(1, 2, 25),))
+    cnf = Cnf(25, [(1, 2, 25)])
     with pytest.raises(CnfError):
         brute_force_sat(cnf)
 

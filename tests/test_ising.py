@@ -1,9 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from ising_reram import (
     Assignment,
+    Cnf,
     CnfError,
+    IsingGraph,
     HamiltonianParams,
     adjacency_matrix,
     brute_force_sat,
@@ -20,6 +24,10 @@ from ising_reram import (
 from conftest import graph_from_edges
 
 PARAMS = HamiltonianParams()
+
+
+def edge_set(graph):
+    return set(zip(*map(np.ndarray.tolist, graph.edge_ends)))
 
 
 def spins_with_up(n, up):
@@ -39,9 +47,9 @@ def test_build_graph_counts():
 def test_build_graph_one_x_same_polarity_shared_var_has_no_edge():
     g = build_graph(paper_instances()["1-X"])
     # Variable 3 appears positively in both clauses: nodes 2 and 4.
-    assert (2, 4) not in g.edges
+    assert (2, 4) not in edge_set(g)
     # Variable 2 appears with opposite polarity: node 1 (neg) vs node 3 (pos).
-    assert (1, 3) in g.edges
+    assert (1, 3) in edge_set(g)
 
 
 def test_nodes_are_clause_major():
@@ -49,7 +57,7 @@ def test_nodes_are_clause_major():
     g = build_graph(cnf)
     assert g.num_nodes == 3 * cnf.num_clauses
     for i in range(g.num_nodes):
-        assert g.literals[i] == cnf.clauses[i // 3].literals[i % 3]
+        assert g.lits[i] == cnf.lits[i // 3, i % 3]
 
 
 def test_edge_count_identity():
@@ -230,12 +238,12 @@ def _decode_by_walk(graph, spins, cnf):
     if any(count != 1 for count in per_clause):
         return None
     chosen = set(selected)
-    if any(u in chosen and v in chosen for u, v in graph.edges):
+    if any(u in chosen and v in chosen for u, v in edge_set(graph)):
         return None
     values = [False] * cnf.num_vars
     for i in selected:
-        lit = graph.literals[i]
-        values[lit.variable - 1] = not lit.negated
+        lit = int(graph.lits[i])
+        values[abs(lit) - 1] = lit > 0
     assignment = Assignment(tuple(values))
     return assignment if verify_assignment(cnf, assignment) else None
 
@@ -300,4 +308,97 @@ def _clause_pair_edges(cnf):
 @pytest.mark.parametrize("m", [5 + 75 * k // 19 for k in range(20)])
 def test_build_graph_edges_match_clause_pair_scan(m):
     cnf = random_3sat(max(3, m // 4), m, seed=m)
-    assert build_graph(cnf).edges == _clause_pair_edges(cnf)
+    assert edge_set(build_graph(cnf)) == _clause_pair_edges(cnf)
+
+
+def _reference_reduction(cnf):
+    """The set-based reduction: node literals, and each occurrence's edge to
+    every later occurrence of its negation plus the clause triangles."""
+    literals = [lit for clause in cnf.lits.tolist() for lit in clause]
+    edges = set()
+    for base in range(0, len(literals), 3):
+        edges.update({(base, base + 1), (base, base + 2), (base + 1, base + 2)})
+    occurrences = {}
+    for i, lit in enumerate(literals):
+        occurrences.setdefault(lit, []).append(i)
+    for lit, group in occurrences.items():
+        for a in group:
+            for b in occurrences.get(-lit, ()):
+                if a < b:
+                    edges.add((a, b))
+    return literals, frozenset(edges)
+
+
+def _one_variable_in_most_clauses(n=40, m=60, seed=3):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for c in range(m):
+        others = rng.choice(np.arange(2, n + 1), size=3, replace=False)
+        if c % 5:  # four clauses in five hold variable 1
+            others[0] = 1
+        rows.append(np.where(rng.random(3) < 0.5, -others, others))
+    return Cnf(n, rows)
+
+
+def _reduction_instances():
+    yield from paper_instances().values()
+    for seed in range(3):
+        for m in range(1, 301):
+            yield random_3sat(max(3, m // 4) + seed, m, seed)
+    yield _one_variable_in_most_clauses()
+
+
+def test_build_graph_matches_set_based_reduction():
+    rng = np.random.default_rng(5)
+    count = 0
+    for cnf in _reduction_instances():
+        g = build_graph(cnf)
+        literals, edges = _reference_reduction(cnf)
+        n = len(literals)
+        assert g.lits.tolist() == literals
+        assert list(zip(*map(np.ndarray.tolist, g.edge_ends))) == sorted(edges)
+        assert g.num_nodes == n and g.num_edges == len(edges)
+        neighbours = [[] for _ in range(n)]
+        for u, v in edges:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        assert g.neighbor_lists == tuple(tuple(sorted(nb)) for nb in neighbours)
+        degrees = np.bincount(np.concatenate(g.edge_ends), minlength=n)
+        assert degrees.tolist() == [len(nb) for nb in neighbours]
+        pair_counts = Counter((u // 3, v // 3) for u, v in edges if u // 3 != v // 3)
+        histogram = {k: sum(c == k for c in pair_counts.values()) for k in (1, 2, 3)}
+        profile = kernel_decompose(g)
+        assert (profile.core_count, profile.inconn_histogram) == (n // 3, histogram)
+        spins = 2 * rng.integers(0, 2, n) - 1
+        x = ((1 + spins) // 2).tolist()
+        edge_sum = sum(x[u] * x[v] for u, v in edges)
+        expected = PARAMS.a_pen * edge_sum - PARAMS.b_pen * sum(x)
+        assert hamiltonian_energy(g, spins, PARAMS) == expected
+        j = int(rng.integers(n))
+        occupied = sum(x[i] for i in neighbours[j])
+        assert delta_oracle(g, spins, PARAMS, j) == -spins[j] * (PARAMS.a_pen * occupied - PARAMS.b_pen)
+        count += 1
+    assert count == 4 + 900 + 1
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 0)], [(1, 0)], [(0, 4)], [(-1, 2)], [(0, 2), (0, 1)], [(0, 1), (0, 1)], [(1, 2), (0, 3)]],
+)
+def test_graph_rejects_bad_or_unsorted_edges(edges):
+    with pytest.raises(CnfError, match="bad edge"):
+        IsingGraph([1, 2, 3, 4], ([u for u, _ in edges], [v for _, v in edges]))
+
+
+def test_graph_arrays_are_read_only():
+    g = build_graph(paper_instances()["3-X"])
+    for arr in (g.lits, *g.edge_ends):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+
+
+def test_kernel_decompose_rejects_four_edges_between_two_clauses():
+    triangles = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    g = graph_from_edges(6, triangles + [(0, 3), (0, 4), (1, 3), (2, 5)])
+    with pytest.raises(CnfError, match=r"clause pair \(0, 1\) has 4 conflict edges"):
+        kernel_decompose(g)

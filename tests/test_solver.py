@@ -441,7 +441,7 @@ def test_pairwise_fault_tolerance_exact(three_x):
     g, adj, spins, xb = build_problem(three_x, seed=6)
     degrees = adj.sum(1)
     base = compute_delta(xb, spins, degrees, PARAMS)
-    i, j = sorted(g.edges)[0]
+    i, j = (int(ends[0]) for ends in g.edge_ends)
     term = PARAMS.a_pen / 2 * spins[i] * spins[j]
     # Dead pair (both low): the adjacency term drops out of column j only.
     xb.inject_fault(i, 2 * j + 1, 20.0)
