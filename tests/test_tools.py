@@ -1,5 +1,6 @@
 """The byte-identity tool prints one digest entry per benchmark operation and command."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -19,7 +20,14 @@ def test_byte_identity_maps_every_op_of_every_workload_and_seed():
     )
     assert done.returncode == 0, done.stderr
     table = json.loads(done.stdout)
-    assert sorted(table) == sorted([*OPS_PER_RUN, "commands"])
+    assert sorted(table) == sorted([*OPS_PER_RUN, "commands", "reduction"])
+    reduction = table.pop("reduction")
+    assert sorted(reduction) == sorted(OPS_PER_RUN)
+    for name, seeds in reduction.items():
+        assert sorted(seeds) == ["1", "7"]
+        assert all(len(sha) == 64 and int(sha, 16) >= 0 for sha in seeds.values())
+        # paper-suite solves the same four instances at every seed.
+        assert (seeds["1"] == seeds["7"]) == (name == "paper-suite")
     commands = table.pop("commands")
     assert sorted(commands) == sorted(
         ["gen", "solve", "solve-config-seed", "solve-noisy-k3", "solve-sat", "bench", "kernels",
@@ -71,3 +79,28 @@ def test_against_prints_each_differing_key_with_both_values(capsys):
     assert tool.diff_maps(mine, json.loads(json.dumps(mine))) == []
     assert tool.report_diff(mine, mine, Path("parent")) == 0
     assert capsys.readouterr().out == "0 of 3 keys differ\n"
+
+
+def test_reduction_digest_covers_the_round_trip_and_every_edge():
+    tool = _byte_identity_module()
+    from ising_reram import build_graph, emit_dimacs, random_3sat
+
+    class Op:
+        def __init__(self, text):
+            self.text = text
+
+    class Workload:
+        def __init__(self, texts):
+            self.ops = [Op(text) for text in texts]
+
+    texts = [emit_dimacs(random_3sat(8, 12, seed)) for seed in range(3)]
+    digest = tool.reduction_digest(Workload(texts))
+    expected = hashlib.sha256()
+    for text in texts:
+        u, v = build_graph(random_3sat(8, 12, texts.index(text))).edge_ends
+        expected.update((text + "".join(f"{a} {b}\n" for a, b in zip(u, v))).encode())
+    assert digest == expected.hexdigest()
+    # Spelling the same clauses differently leaves the round trip, and the digest, as they were.
+    respelled = [text.replace("p cnf", "c comment\np  cnf").replace(" 0\n", "\n0\n") for text in texts]
+    assert tool.reduction_digest(Workload(respelled)) == digest
+    assert tool.reduction_digest(Workload(texts[:2])) != digest

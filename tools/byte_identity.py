@@ -5,7 +5,11 @@ once and prints a JSON map from workload, seed and operation index to the
 sha256 of what the operation wrote and the ``repr`` of its execute and
 inference energies.  On the random workloads the digest is that of the
 report JSON; on paper-suite it covers the suite CSV and then every solve's
-report.  Under ``commands`` the map also holds the sha256 and exit code of
+report.  Under ``reduction`` it holds, per workload and seed, the sha256 of
+every instance's DIMACS round trip, ``emit_dimacs(parse_dimacs(text))``, each
+followed by the instance's edges as sorted "u v" lines, so that a change to
+the parser or the reduction shows even where no report moves.  Under
+``commands`` the map also holds the sha256 and exit code of
 fixed command-line runs (``gen``, an m=40 ``solve --report`` on a 120x240
 array, the same solve with its seed taken only from the config's
 ``solver.seed``, the same solve at ``p_cell_success`` 0.6 with ``k`` 3, so
@@ -80,16 +84,32 @@ def load_workloads(root: Path):
     return workloads
 
 
+def reduction_digest(wl) -> str:
+    """sha256 of each instance's DIMACS round trip and sorted edge list, in op order."""
+    from ising_reram import build_graph, emit_dimacs, parse_dimacs
+
+    suite = getattr(wl, "suite", None)  # paper-suite: every op solves the suite's instances
+    texts = [emit_dimacs(cnf) for _, cnf in suite.instances] if suite else [op.text for op in wl.ops]
+    digest = hashlib.sha256()
+    for text in texts:
+        cnf = parse_dimacs(text)
+        edges = sorted(zip(*(ends.tolist() for ends in build_graph(cnf).edge_ends)))
+        digest.update(emit_dimacs(cnf).encode())
+        digest.update("".join(f"{u} {v}\n" for u, v in edges).encode())
+    return digest.hexdigest()
+
+
 def digests(workloads) -> tuple[dict, int]:
     """The digest map and the number of operations whose output was wrong."""
     from ising_reram import bench
 
-    out, errors = {}, 0
+    out, errors = {"reduction": {}}, 0
     for name in WORKLOADS:
         for seed in SEEDS:
             solve = bench.run   # paper-suite wraps it to record every report
             try:
                 wl = workloads.build(name, seed)
+                out["reduction"].setdefault(name, {})[str(seed)] = reduction_digest(wl)
                 ops = {}
                 for i, op in enumerate(wl.ops):
                     s = wl.check(op, wl.execute(op), first_cycle=True)
