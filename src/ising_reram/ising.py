@@ -119,8 +119,8 @@ def build_graph(cnf: Cnf) -> IsingGraph:
         k = counts[lits[pos]]
         a = pos.repeat(k)
         # Place j of a's repeat run takes its variable's j-th negative occurrence.
-        b = neg[np.arange(len(a)) + ((counts.cumsum() - counts)[lits[pos]] - k.cumsum() + k).repeat(k)]
-        keys = np.concatenate((tri + 1, tri + 2, tri + (n + 2), np.minimum(a, b) * (n - 1) + a + b))
+        b = neg[np.arange(len(a)) + (counts.cumsum()[lits[pos]] - k.cumsum()).repeat(k)]
+        keys = np.concatenate((tri + 1, tri + 2, tri + n + 2, np.minimum(a, b) * (n - 1) + a + b))
     keys.sort()
     u, v = np.divmod(keys, n)
     u.flags.writeable = v.flags.writeable = False

@@ -376,14 +376,16 @@ def test_build_graph_matches_set_based_reduction():
         assert hamiltonian_energy(g, spins, PARAMS) == expected
         j = int(rng.integers(n))
         occupied = sum(x[i] for i in neighbours[j])
-        assert delta_oracle(g, spins, PARAMS, j) == -spins[j] * (PARAMS.a_pen * occupied - PARAMS.b_pen)
+        expected = -spins[j] * (PARAMS.a_pen * occupied - PARAMS.b_pen)
+        assert delta_oracle(g, spins, PARAMS, j) == expected
         count += 1
     assert count == 4 + 900 + 1
 
 
 @pytest.mark.parametrize(
     "edges",
-    [[(0, 0)], [(1, 0)], [(0, 4)], [(-1, 2)], [(0, 2), (0, 1)], [(0, 1), (0, 1)], [(1, 2), (0, 3)]],
+    [[(0, 0)], [(1, 0)], [(0, 4)], [(-1, 2)],
+     [(0, 2), (0, 1)], [(0, 1), (0, 1)], [(1, 2), (0, 3)]],
 )
 def test_graph_rejects_bad_or_unsorted_edges(edges):
     with pytest.raises(CnfError, match="bad edge"):

@@ -101,6 +101,7 @@ def test_reduction_digest_covers_the_round_trip_and_every_edge():
         expected.update((text + "".join(f"{a} {b}\n" for a, b in zip(u, v))).encode())
     assert digest == expected.hexdigest()
     # Spelling the same clauses differently leaves the round trip, and the digest, as they were.
-    respelled = [text.replace("p cnf", "c comment\np  cnf").replace(" 0\n", "\n0\n") for text in texts]
+    respelled = [text.replace("p cnf", "c comment\np  cnf").replace(" 0\n", "\n0\n")
+                 for text in texts]
     assert tool.reduction_digest(Workload(respelled)) == digest
     assert tool.reduction_digest(Workload(texts[:2])) != digest

@@ -89,7 +89,10 @@ def reduction_digest(wl) -> str:
     from ising_reram import build_graph, emit_dimacs, parse_dimacs
 
     suite = getattr(wl, "suite", None)  # paper-suite: every op solves the suite's instances
-    texts = [emit_dimacs(cnf) for _, cnf in suite.instances] if suite else [op.text for op in wl.ops]
+    if suite is None:
+        texts = [op.text for op in wl.ops]
+    else:
+        texts = [emit_dimacs(cnf) for _, cnf in suite.instances]
     digest = hashlib.sha256()
     for text in texts:
         cnf = parse_dimacs(text)
