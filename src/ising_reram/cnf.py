@@ -107,17 +107,17 @@ class Cnf:
         if lits.ndim != 2 or lits.shape[1] != 3:
             raise CnfError(f"clauses must have exactly 3 literals, got shape {lits.shape}")
         var = np.abs(lits)
-        if not var.all():
+        low = var.min()
+        if low == 0:
             raise CnfError("literal 0 is reserved as the clause terminator")
-        a, b, c = var.T
-        repeats = (a == b) | (a == c) | (b == c)
+        ordered = np.sort(var, axis=1)
+        repeats = ordered[:, 1:] == ordered[:, :-1]
         if repeats.any():
-            ints = tuple(lits[repeats.argmax()].tolist())
+            ints = tuple(lits[repeats.any(axis=1).argmax()].tolist())
             raise CnfError(f"clause {ints} repeats a variable")
         # abs(-2**63) wraps to a negative int64, so test below 1 as well.
-        outside = (var < 1) | (var > self.num_vars)
-        if outside.any():
-            variable = abs(int(lits.flat[outside.argmax()]))
+        if low < 1 or var.max() > self.num_vars:
+            variable = abs(int(lits.flat[((var < 1) | (var > self.num_vars)).argmax()]))
             raise CnfError(f"variable {variable} out of range (num_vars={self.num_vars})")
         lits.flags.writeable = False
         object.__setattr__(self, "lits", lits)
@@ -169,11 +169,12 @@ def parse_dimacs(text: str) -> Cnf:
     """
     head, _, body = text.partition("\n")
     parts = head.split()
-    if (len(parts) == 4 and parts[:2] == ["p", "cnf"] and all(map(_DECIMAL.fullmatch, parts[2:]))
-            and len(head.splitlines()) == 1 and body.isascii() and "_" not in body):
+    if (len(parts) == 4 and parts[:2] == ["p", "cnf"] and (parts[2] + parts[3]).isdigit()
+            and text.isascii() and len(head.splitlines()) == 1 and "_" not in body):
         try:
             rows = np.array(body.split(), dtype=np.int64).reshape(-1, 4)
-            if rows[:, :3].all() and not rows[:, 3].any() and len(rows) == int(parts[3]):
+            # A 0 among a row's first three is a misaligned clause, which Cnf refuses.
+            if not rows[:, 3].any() and len(rows) == int(parts[3]):
                 return Cnf(int(parts[2]), rows[:, :3])
         except (ValueError, OverflowError):
             pass

@@ -7,8 +7,9 @@ inference energies.  On the random workloads the digest is that of the
 report JSON; on paper-suite it covers the suite CSV and then every solve's
 report.  Under ``reduction`` it holds, per workload and seed, the sha256 of
 every instance's DIMACS round trip, ``emit_dimacs(parse_dimacs(text))``, each
-followed by the instance's edges as sorted "u v" lines, so that a change to
-the parser or the reduction shows even where no report moves.  Under
+followed by the instance's edges as sorted "u v" lines (paper-suite's
+instances are the suite's four, as ``emit_dimacs`` writes them), so that a
+change to the parser or the reduction shows even where no report moves.  Under
 ``commands`` the map also holds the sha256 and exit code of
 fixed command-line runs (``gen``, an m=40 ``solve --report`` on a 120x240
 array, the same solve with its seed taken only from the config's
