@@ -257,8 +257,9 @@ def verify_assignment(cnf: Cnf, assignment: Assignment) -> bool:
             f"assignment covers {len(assignment.values)} variables, "
             f"instance has {cnf.num_vars}"
         )
-    values = np.array(assignment.values, dtype=bool)[np.abs(cnf.lits) - 1]
-    return bool((values != (cnf.lits < 0)).any(axis=1).all())
+    values = assignment.values
+    return all(any(values[abs(lit) - 1] == (lit > 0) for lit in clause)
+               for clause in cnf.lits.tolist())
 
 
 def brute_force_sat(cnf: Cnf) -> Optional[Assignment]:

@@ -244,9 +244,8 @@ def decode_solution(
     u, v = graph.edge_ends
     if (up[u] & up[v]).any():
         return None
-    # Chosen literals of one variable agree: opposite ones share an edge.
-    lits = graph.lits[chosen]
-    values = np.zeros(cnf.num_vars, dtype=bool)
-    values[np.abs(lits) - 1] = lits > 0
-    assignment = Assignment(tuple(values.tolist()))
+    values = [False] * cnf.num_vars
+    for lit in graph.lits[chosen].tolist():
+        values[abs(lit) - 1] = lit > 0
+    assignment = Assignment(tuple(values))
     return assignment if verify_assignment(cnf, assignment) else None
