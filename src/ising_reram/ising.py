@@ -36,13 +36,13 @@ class IsingGraph:
     sorted by (u, v)."""
 
     def __init__(self, lits, edge_ends) -> None:
-        self.lits, u, v = (np.array(a, dtype=np.int64) for a in (lits, *edge_ends))
+        self.lits = np.array(lits, dtype=np.int64)
+        u, v = np.array(edge_ends, dtype=np.int64)  # ends of unequal length raise ValueError
         n = len(self.lits)
         keys = u * n + v
         bad = (u < 0) | (u >= v) | (v >= n) | (keys <= np.append(-1, keys[:-1]))
-        if len(u) != len(v) or bad.any():
-            i = int(bad.argmax())
-            raise CnfError(f"bad edge ({u[i]}, {v[i]}) for {n} nodes, or out of (u, v) order")
+        if bad.any():
+            raise CnfError(f"bad edge ({u[bad][0]}, {v[bad][0]}) for {n} nodes, or unsorted")
         for arr in (self.lits, u, v):
             arr.flags.writeable = False
         self.edge_ends = (u, v)

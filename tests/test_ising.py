@@ -392,6 +392,12 @@ def test_graph_rejects_bad_or_unsorted_edges(edges):
         IsingGraph([1, 2, 3, 4], ([u for u, _ in edges], [v for _, v in edges]))
 
 
+@pytest.mark.parametrize("ends", [([0, 1], [1]), ([], [1]), ([0, 1, 0], [1, 2])])
+def test_graph_rejects_edge_ends_of_unequal_length(ends):
+    with pytest.raises(ValueError):
+        IsingGraph([1, 2, 3], ends)
+
+
 def test_graph_arrays_are_read_only():
     g = build_graph(paper_instances()["3-X"])
     for arr in (g.lits, *g.edge_ends):
