@@ -102,6 +102,10 @@ class Cnf:
             lits = np.array(self.lits, dtype=np.int64)
         except OverflowError as exc:
             raise CnfError(f"a literal does not fit in int64: {exc}") from exc
+        # The conversion truncates floats, parses digit strings and wraps uint64.
+        given = np.asarray(self.lits).dtype
+        if lits.size and not (given.kind in "iu" and np.can_cast(given, np.int64)):
+            raise CnfError(f"literals must be integers within int64, got dtype {given}")
         if len(lits) < 1:
             raise CnfError("a CNF needs at least one clause")
         if lits.ndim != 2 or lits.shape[1] != 3:

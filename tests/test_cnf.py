@@ -162,6 +162,11 @@ def test_well_formed_text_takes_the_one_pass_reader(monkeypatch):
         (3, [(1, 2, 3), (1, -1, 2), (2, 2, 3)], "clause (1, -1, 2) repeats a variable"),
         (3, [(1, 2, 3), (-1, 2, -4)], "variable 4 out of range (num_vars=3)"),
         (3, [(1, 2, -2**63)], "variable 9223372036854775808 out of range (num_vars=3)"),
+        (3, [(1.7, 2, -3.9)], "literals must be integers within int64, got dtype float64"),
+        (3, [("1", "2", "3")], "literals must be integers within int64, got dtype <U1"),
+        (3, [(True, False, True)], "literals must be integers within int64, got dtype bool"),
+        (3, np.array([[1, 2, 2**64 - 1]], dtype=np.uint64),
+         "literals must be integers within int64, got dtype uint64"),
     ],
 )
 def test_cnf_validation_messages(num_vars, lits, message):
@@ -174,6 +179,7 @@ def test_cnf_is_a_read_only_value():
     a, b = random_3sat(6, 5, 3), Cnf(6, random_3sat(6, 5, 3).lits.tolist())
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != Cnf(6, a.lits[::-1]) and a != Cnf(7, a.lits)
+    assert Cnf(6, a.lits.astype(np.int8)) == a
     assert a.lits.shape == (5, 3) and a.lits.dtype == np.int64
     with pytest.raises(ValueError):
         a.lits[0, 0] = 4
