@@ -392,6 +392,18 @@ def test_graph_rejects_bad_or_unsorted_edges(edges):
         IsingGraph([1, 2, 3, 4], ([u for u, _ in edges], [v for _, v in edges]))
 
 
+def test_graph_checks_many_edges_in_numpy_and_names_the_first_bad_one():
+    g = build_graph(random_3sat(20, 30, 1))  # 90 nodes, past the Python check's 32 edges
+    n, (u, v) = g.num_nodes, g.edge_ends
+    for i, edge in [(0, (-1, 1)), (40, (3, 3)), (40, (3, n)), (40, (u[39], v[39])),
+                    (40, (u[41], v[41]))]:
+        bad_u, bad_v = u.copy(), v.copy()
+        bad_u[i], bad_v[i] = edge
+        with pytest.raises(CnfError, match=rf"bad edge \({edge[0]}, {edge[1]}\) for {n} nodes"):
+            IsingGraph(g.lits, (bad_u, bad_v))
+    assert IsingGraph(g.lits, g.edge_ends).num_edges == g.num_edges
+
+
 @pytest.mark.parametrize("ends", [([0, 1], [1]), ([], [1]), ([0, 1, 0], [1, 2])])
 def test_graph_rejects_edge_ends_of_unequal_length(ends):
     with pytest.raises(ValueError):
