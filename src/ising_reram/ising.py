@@ -37,17 +37,17 @@ class IsingGraph:
 
     def __init__(self, lits, edge_ends) -> None:
         self.lits = np.array(lits, dtype=np.int64)
-        u, v = np.array(edge_ends, dtype=np.int64)  # ends of unequal length raise ValueError
+        u, v = (np.array(ends, dtype=np.int64) for ends in edge_ends)
         n = len(self.lits)
-        if len(u) < 32:  # timed: a Python pass beats numpy's per-call costs below 32 edges
+        if len(u) != len(v):
+            raise ValueError(f"edge ends of unequal length {len(u)} and {len(v)}")
+        # From 32 edges a numpy test accepts good edges faster; the Python pass names a bad one.
+        if len(u) < 32 or not (u.min() >= 0 and v.max() < n and (u < v).all()
+                               and ((keys := u * n + v)[1:] > keys[:-1]).all()):
             ends = list(zip(u.tolist(), v.tolist()))
             bad = [(a, b) <= p or not 0 <= a < b < n for p, (a, b) in zip([(-1, -1)] + ends, ends)]
-        else:
-            keys = u * n + v
-            bad = (u < 0) | (u >= v) | (v >= n)
-            bad[1:] |= keys[1:] <= keys[:-1]
-        if True in bad:
-            raise CnfError(f"bad edge ({u[bad][0]}, {v[bad][0]}) for {n} nodes, or unsorted")
+            if any(bad):
+                raise CnfError(f"bad edge {ends[bad.index(True)]} for {n} nodes, or unsorted")
         for arr in (self.lits, u, v):
             arr.flags.writeable = False
         self.edge_ends = (u, v)

@@ -392,11 +392,12 @@ def test_graph_rejects_bad_or_unsorted_edges(edges):
         IsingGraph([1, 2, 3, 4], ([u for u, _ in edges], [v for _, v in edges]))
 
 
-def test_graph_checks_many_edges_in_numpy_and_names_the_first_bad_one():
-    g = build_graph(random_3sat(20, 30, 1))  # 90 nodes, past the Python check's 32 edges
+def test_graph_rejects_bad_edges_among_many_and_names_the_first():
+    g = build_graph(random_3sat(20, 30, 1))  # 90 nodes: numpy tests the edges first
     n, (u, v) = g.num_nodes, g.edge_ends
+    last = int(u[-1])
     for i, edge in [(0, (-1, 1)), (40, (3, 3)), (40, (3, n)), (40, (u[39], v[39])),
-                    (40, (u[41], v[41]))]:
+                    (40, (u[41], v[41])), (-1, (last, n)), (-1, (last + 1, last + 1))]:
         bad_u, bad_v = u.copy(), v.copy()
         bad_u[i], bad_v[i] = edge
         with pytest.raises(CnfError, match=rf"bad edge \({edge[0]}, {edge[1]}\) for {n} nodes"):
