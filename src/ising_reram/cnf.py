@@ -98,14 +98,11 @@ class Cnf:
     def __post_init__(self) -> None:
         if self.num_vars < 1:
             raise CnfError(f"num_vars must be >= 1, got {self.num_vars}")
-        try:
-            lits = np.array(self.lits, dtype=np.int64)
-        except OverflowError as exc:
-            raise CnfError(f"a literal does not fit in int64: {exc}") from exc
-        # The conversion truncates floats, parses digit strings and wraps uint64.
-        given = np.asarray(self.lits).dtype
-        if lits.size and not (given.kind in "iu" and np.can_cast(given, np.int64)):
-            raise CnfError(f"literals must be integers within int64, got dtype {given}")
+        lits = np.asarray(self.lits)
+        # Converting other types to int64 would truncate floats, parse strings, wrap uint64.
+        if lits.size and not (lits.dtype.kind in "iu" and np.can_cast(lits.dtype, np.int64)):
+            raise CnfError(f"literals must be integers within int64, got dtype {lits.dtype}")
+        lits = lits.astype(np.int64)
         if len(lits) < 1:
             raise CnfError("a CNF needs at least one clause")
         if lits.ndim != 2 or lits.shape[1] != 3:

@@ -164,6 +164,7 @@ def test_well_formed_text_takes_the_one_pass_reader(monkeypatch):
         (3, [(1, 2, -2**63)], "variable 9223372036854775808 out of range (num_vars=3)"),
         (3, [(1.7, 2, -3.9)], "literals must be integers within int64, got dtype float64"),
         (3, [("1", "2", "3")], "literals must be integers within int64, got dtype <U1"),
+        (3, [(1, 2, 10**20)], "literals must be integers within int64, got dtype object"),
         (3, [(True, False, True)], "literals must be integers within int64, got dtype bool"),
         (3, np.array([[1, 2, 2**64 - 1]], dtype=np.uint64),
          "literals must be integers within int64, got dtype uint64"),
