@@ -528,13 +528,15 @@ class Crossbar:
         d = np.asarray(drive)
         if d.shape != (self.config.rows,):
             raise ValueError(f"drive has shape {d.shape}, expected ({self.config.rows},)")
-        if not ((d == 0) | (d == 1) | (d == -1)).all():
+        # An integer or bool drive is in range when its extremes are; a float one may hold NaN.
+        if not (d.min() >= -1 and d.max() <= 1 if d.dtype.kind in "biu"
+                else ((d == 0) | (d == 1) | (d == -1)).all()):
             raise ValueError("drive entries must be in {-1, 0, +1}")
         currents = self.config.v_read * (d.astype(float) @ self.conductance)
-        driven = d != 0
-        k = int(np.count_nonzero(driven))
+        k = int(np.count_nonzero(d))
         # A prefix drive (rows 0..k-1) is how the solver drives.
-        totals = self.row_g[:k] if driven[:k].all() else compress(self.row_g, driven.tolist())
+        prefix = np.count_nonzero(d[:k]) == k
+        totals = self.row_g[:k] if prefix else compress(self.row_g, (d != 0).tolist())
         self.ledger.record("inference", self.config._read_energy_nj(sum(totals)))
         return currents
 

@@ -230,9 +230,14 @@ def decode_solution(
     The spin-up set must be independent and contain exactly one node per
     clause; each selected node's literal is made true and unconstrained
     variables default to false.  The result is returned only if it passes
-    verification, so a false SAT can never escape this function.
+    verification, so a false SAT can never escape this function.  When every
+    node lies in a clause (n <= 3m, as from ``build_graph``), one node per
+    clause means m up nodes, so any other count returns None at once; with
+    nodes past clause m - 1, their own bins could also count 1.
     """
     up = _check_spins(graph, spins) == 1
+    if graph.num_nodes <= 3 * cnf.num_clauses and np.count_nonzero(up) != cnf.num_clauses:
+        return None
     chosen = np.flatnonzero(up)
     per_clause = np.bincount(chosen // 3, minlength=cnf.num_clauses)
     if (per_clause != 1).any():

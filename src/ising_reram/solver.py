@@ -25,6 +25,11 @@ Pattern verdicts come from the writes' verify flags, on the model assumption
 that a write changes only its own cell: node j's pair is written only on j's
 neighbour rows (init pulses the high cells of a blank array, each flip of j
 rewrites both), so it holds its pattern when its latest writes all landed.
+
+Two digital units take shortcuts that give their full rules' answers: at
+k = 1 the flip selector picks the first index of the least cost, the stable
+sort's first candidate, and the decoder of a reduction graph (3m nodes)
+refuses any count of up nodes but m before it looks at the clauses.
 """
 
 from __future__ import annotations
@@ -199,12 +204,20 @@ def compute_delta(
     The raw column readout recovers s_j * sum_i adj(i, j) * s_i; the exact
     energy change is then assembled digitally as
     delta_j = -(a_pen / 2) * (raw_j + s_j * deg_j) + b_pen * s_j.
+    Before the read, raises ValueError unless the spins fit the rows and none
+    is zero; they drive the rows in their own dtype, and the read's range
+    check refuses any other entry but -1 and +1.
     """
-    spins = np.asarray(spins, dtype=np.int64)
+    spins = np.asarray(spins)
     degrees = np.asarray(degrees, dtype=np.int64)
-    n = len(spins)
-    drive = np.zeros(xb.config.rows, dtype=np.int64)
-    drive[:n] = spins
+    n, rows, nonzero = len(spins), xb.config.rows, np.count_nonzero(spins)
+    if n > rows or nonzero != n:
+        raise ValueError(f"need at most {rows} spins, each -1 or +1; "
+                         f"got {n}, {n - nonzero} of them 0")
+    drive = spins
+    if n < rows:  # the unused rows are not driven
+        drive = np.zeros(rows, dtype=spins.dtype)
+        drive[:n] = spins
     currents = xb.read_columns(drive)
     pos = currents[1 : 2 * n : 2]
     neg = currents[0 : 2 * n : 2]
@@ -243,10 +256,14 @@ def select_flips(
     adjacent picks are skipped because simultaneous neighbor flips would
     invalidate each other's predicted cost.  ``low`` is ``min(delta)``: no
     cost is below q exactly when ``low`` is not, and then the answer is []
-    after one comparison, with no pass over ``delta``.
+    after one comparison, with no pass over ``delta``.  At k = 1 the pick is
+    ``delta.argmin()``: the first index of the least cost is the stable sort's
+    first candidate, and one node is an independent set.
     """
     if not low < q:
         return []
+    if config.k == 1:
+        return [int(delta.argmin())]
     candidates = np.flatnonzero(delta < q)
     chosen: list[int] = []
     # A stable sort of ascending node ids breaks ties by node id.
@@ -268,23 +285,24 @@ def apply_flips(
     cells per pair, positive cell first, pairs in node order with rows
     ascending: that order fixes which device draws each cell gets.  Returns
     (cells targeted, cells that landed in their window, ascending flipped
-    nodes with a cell that missed).
+    nodes with a cell that missed).  Before any write or spin change, raises
+    ValueError unless the flips are distinct nodes in range.
     """
     if not flips:
         return 0, 0, []
-    for j in flips:
-        spins[j] = -spins[j]
     nodes = sorted(flips)
-    up = (spins[nodes] > 0).tolist()
+    if not 0 <= nodes[0] <= nodes[-1] < len(spins) or len(set(nodes)) < len(nodes):
+        raise ValueError(f"flips {list(flips)} must be distinct nodes in 0..{len(spins) - 1}")
     cells = []
-    # adj is symmetric, so row j of adj is column j.  STATE1 is 1 and STATE0
-    # is 0, so "holds a high cell" is the target.
-    ks, rows = map(np.ndarray.tolist, np.nonzero(adj[nodes]))
-    for k, i in zip(ks, rows):
-        cells += (i, 2 * nodes[k] + 1, up[k]), (i, 2 * nodes[k], not up[k])
+    for j in nodes:
+        spins[j] = -spins[j]
+        up = bool(spins[j] > 0)
+        # adj is symmetric, so row j of adj is column j.  STATE1 is 1 and
+        # STATE0 is 0, so "holds a high cell" is the target.
+        for i in np.flatnonzero(adj[j]).tolist():
+            cells += (i, 2 * j + 1, up), (i, 2 * j, not up)
     landed = xb.program(cells, "program")
-    # Two cells per (node, row) entry: cell c is written for nodes[ks[c // 2]].
-    missed = sorted({nodes[ks[c // 2]] for c, ok in enumerate(landed) if not ok})
+    missed = sorted({col // 2 for (_, col, _), ok in zip(cells, landed) if not ok})
     return len(cells), sum(landed), missed
 
 
@@ -343,8 +361,8 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             flips = select_flips(delta, q, solver_config, graph, low)
             targeted, correct, missed = apply_flips(xb, spins, flips, adj)
             if flips:
-                pattern_ok[flips] = True
-                pattern_ok[missed] = False
+                for j in flips:  # missed is a subset of flips
+                    pattern_ok[j] = j not in missed
                 pattern_all = bool(pattern_ok.all())
             traces.append(
                 IterationTrace(

@@ -464,6 +464,44 @@ def test_read_columns_accepts_float_unit_drive():
     assert np.array_equal(by_int, by_float)
 
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+@pytest.mark.parametrize("dtype, entries, accepted", [
+    (np.int8, (1, -1, 0, 1), True),
+    (np.int8, (0, -1, 1), True),  # not a prefix drive
+    (np.int8, (1, 2), False),
+    (np.int8, (-128,), False),
+    (np.uint8, (1, 0, 1), True),
+    (np.uint8, (255,), False),
+    (np.int64, (-1, 1, 1), True),
+    (np.int64, (1, 2), False),
+    (np.int64, (_INT64_MIN,), False),
+    (np.int64, (1, _INT64_MIN, -1), False),
+    (bool, (True, False, True), True),
+    (float, (1.0, -0.0, -1.0), True),
+    (float, (-0.0, 1.0), True),
+    (float, (0.5,), False),
+    (float, (1.0, np.nan), False),
+])
+def test_read_columns_accepts_or_refuses_each_drive_dtype(dtype, entries, accepted):
+    xb = new_crossbar(DeviceConfig(), seed=1)
+    xb.inject_fault(1, 4, 70.0)
+    xb.inject_fault(2, 7, 45.0)
+    drive = np.zeros(32, dtype=dtype)
+    drive[: len(entries)] = entries
+    if not accepted:
+        with pytest.raises(ValueError, match=r"^drive entries must be in \{-1, 0, \+1\}$"):
+            xb.read_columns(drive)
+        assert xb.ledger.inference_energy_nj == 0.0
+        return
+    currents = xb.read_columns(drive)
+    as_float = drive.astype(float)
+    assert np.array_equal(currents, xb.config.v_read * (as_float @ xb.conductance))
+    driven_sum = sum(xb.row_g[row] for row in np.flatnonzero(as_float).tolist())
+    assert xb.ledger.inference_energy_nj == xb.config._read_energy_nj(driven_sum)
+
+
 @pytest.mark.parametrize("driven", ["prefix", "non-prefix", "zero"])
 def test_read_energy_equals_driven_row_sum(driven):
     cfg = DeviceConfig(rows=120, cols=240)

@@ -230,9 +230,10 @@ def test_decode_never_returns_failing_assignment():
 
 
 def _decode_by_walk(graph, spins, cnf):
-    """decode_solution's rule as a walk over nodes and edges in Python."""
+    """decode_solution's rule as a walk over nodes and edges in Python.  A node
+    past clause m - 1 counts for its own clause, which then needs one up node too."""
     selected = [i for i, s in enumerate(spins.tolist()) if s == 1]
-    per_clause = [0] * cnf.num_clauses
+    per_clause = [0] * max([cnf.num_clauses] + [i // 3 + 1 for i in selected])
     for i in selected:
         per_clause[i // 3] += 1
     if any(count != 1 for count in per_clause):
@@ -276,6 +277,35 @@ def test_decode_matches_node_and_edge_walk():
             kinds["satisfying"] += expected is not None
     assert sum(kinds.values()) >= 2000
     assert min(kinds.values()) > 20, kinds
+
+
+def test_count_first_decode_matches_the_walk():
+    rng = np.random.default_rng(29)
+    for n, m, seed in ((5, 8, 1), (6, 12, 2), (13, 40, 5)):
+        cnf = random_3sat(n, m, seed)
+        g = build_graph(cnf)
+        for _ in range(100):
+            pick = rng.integers(0, 3, m) + 3 * np.arange(m)  # one up node per clause
+            extra = rng.choice(np.setdiff1d(np.arange(3 * m), pick))
+            drop = rng.integers(0, m)
+            for up in (pick, np.delete(pick, drop), np.append(pick, extra),
+                       *(rng.choice(3 * m, count, replace=False) for count in (m - 1, m, m + 1))):
+                spins = spins_with_up(g.num_nodes, up)
+                assert decode_solution(g, spins, cnf) == _decode_by_walk(g, spins, cnf)
+
+
+def test_decode_of_a_graph_with_more_clauses_than_the_cnf_matches_the_walk():
+    # build_graph gives 3m nodes; a 9-node graph against the first two of its
+    # clauses has up nodes past clause 1, so the m-up-nodes test must not apply.
+    three = random_3sat(4, 3, 8)
+    g, cnf = build_graph(three), Cnf(4, three.lits[:2])
+    decoded = Counter()
+    for code in range(1 << 9):
+        spins = np.array([1 if code >> i & 1 else -1 for i in range(9)])
+        assignment = decode_solution(g, spins, cnf)
+        assert assignment == _decode_by_walk(g, spins, cnf)
+        decoded[int((spins == 1).sum())] += assignment is not None
+    assert decoded[3] == 19 and decoded[2] == 7
 
 
 def test_params_validation():

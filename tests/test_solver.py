@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,52 @@ def test_apply_flips_degree_one_node():
     map_problem(g, spins, xb)
     targeted, _, _ = apply_flips(xb, spins, [1], adj)
     assert targeted == 2  # one adjacency pair
+
+
+def _totals(xb):
+    return xb.ledger.init_energy_nj, xb.ledger.program_energy_nj, xb.ledger.inference_energy_nj
+
+
+@pytest.mark.parametrize("flips", [[0, 6], [2, 2], [-1], [6], [4, -2, 1], [1, 3, 1]])
+def test_apply_flips_refuses_repeated_negative_or_out_of_range_nodes(three_x, flips):
+    device = DeviceConfig(rows=6, cols=12, p_cell_success=0.5)
+    g, adj, spins, xb = build_problem(three_x, seed=2, device=device)
+    _, _, twin_spins, twin = build_problem(three_x, seed=2, device=device)
+    conductance, ledger = xb.conductance.copy(), _totals(xb)
+    with pytest.raises(ValueError, match="must be distinct nodes in 0..5"):
+        apply_flips(xb, spins, flips, adj)
+    assert spins.tolist() == twin_spins.tolist()
+    assert np.array_equal(xb.conductance, conductance) and _totals(xb) == ledger
+    # No draw was taken: the next flip writes what it writes on the twin.
+    assert apply_flips(xb, spins, [3], adj) == apply_flips(twin, twin_spins, [3], adj)
+    assert np.array_equal(xb.conductance, twin.conductance)
+    assert _totals(xb) == _totals(twin)
+
+
+@pytest.mark.parametrize("spins, message", [
+    (np.full(6, 0.5), "drive entries must be in"),
+    (np.array([1.0, -1.0, 1.0, np.nan, 1.0, 1.0]), "drive entries must be in"),
+    (np.array([1, -1, 2, 1, 1, -1]), "drive entries must be in"),
+    (np.array([1, -1, 0, 1, 1, -1]), "at most 32 spins, each -1 or +1; got 6, 1 of them 0"),
+    (np.array([1.0, -0.0, 1.0, 1.0, -1.0, 1.0]), "got 6, 1 of them 0"),
+    (np.ones(40, dtype=np.int64), "at most 32 spins, each -1 or +1; got 40"),
+], ids=["half", "nan", "two", "zero", "negative-zero", "too-long"])
+def test_compute_delta_refuses_spins_not_unit_or_longer_than_rows(three_x, spins, message):
+    g, adj, _, xb = build_problem(three_x, seed=2, device=exact_device())
+    ledger = _totals(xb)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compute_delta(xb, spins, adj.sum(1), PARAMS)
+    assert _totals(xb) == ledger
+
+
+def test_compute_delta_gives_the_same_costs_for_every_unit_spin_dtype(three_x):
+    for device in (exact_device(), exact_device(rows=6, cols=12)):  # padded and pass-through
+        g, adj, spins, xb = build_problem(three_x, seed=2, device=device)
+        expected = [delta_oracle(g, spins, PARAMS, j) for j in range(6)]
+        for dtype in (np.int8, np.int64, float):
+            delta = compute_delta(xb, spins.astype(dtype), adj.sum(1), PARAMS)
+            assert delta.tolist() == expected
+        assert compute_delta(xb, spins.tolist(), adj.sum(1), PARAMS).tolist() == expected
 
 
 def test_column_writes_go_column_major_rows_ascending(monkeypatch, three_x):
@@ -938,6 +985,25 @@ def test_least_cost_shortcuts_match_the_full_tests():
             assert select_flips(delta, cut, config, g, low) == _select_by_sort(delta, cut, config, g)
         taken += bool(flips)
     assert 0 < taken < 400
+
+
+@pytest.mark.parametrize("costs", [
+    [0.5] * 6,
+    [-1.0] * 6,
+    [0.0, -0.0, 1.0, -0.0, 0.0, 2.0],
+    [-0.0, 0.0, 0.0, -0.0, 1.0, 1.0],
+    [1.0, -np.inf, 0.0, -np.inf, 2.0, 3.0],
+    [np.inf, 2.0, -np.inf, 1.0, -np.inf, 0.0],
+    [np.inf] * 6,
+])
+def test_one_flip_pick_is_the_sorts_first_candidate(three_x, costs):
+    g, delta, config = build_graph(three_x), np.array(costs), SolverConfig(k=1)
+    low = float(delta.min())
+    picks = []
+    for q in (low, low + 1.0, -1.0, 0.0, 0.5, 1.0, np.inf):
+        picks.append(select_flips(delta, q, config, g, low))
+        assert picks[-1] == _select_by_sort(delta, q, config, g), q
+    assert any(picks) or low == np.inf
 
 
 def test_profiled_run_takes_each_spread_at_most_once_per_read(monkeypatch):
