@@ -48,7 +48,7 @@ for t in range(6):
     delta = compute_delta(xb, spins, degrees, params)
     low = delta.min()
     q = q_unit(low, np.std(prior) if prior is not None else None, t, config, rng)
-    flips = select_flips(delta, q, config, graph, low)
+    flips = select_flips(delta, q, config, adj, low)
     apply_flips(xb, spins, flips, adj)
     energy = hamiltonian_energy(graph, spins, params)
     mode = "greedy" if q == 0.0 and (delta < 0).any() else "annealing"

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .cnf import Cnf
 from .device import DeviceConfig, new_crossbar
 from .ising import build_graph, kernel_decompose
 from .solver import RunReport, SolverConfig, check_fits, run
-from .util import derive_seed, field_dict
+from .util import derive_seed
 
 OVERALL_LABEL = "Overall"
 
@@ -52,8 +53,7 @@ def paper_suite(runs: int = 10, iters: int = 10) -> BenchSuite:
     return BenchSuite(tuple(paper_instances().items()), runs=runs, iters=iters)
 
 
-@dataclass(frozen=True)
-class KernelEnergyRow:
+class KernelEnergyRow(NamedTuple):
     kernel: str      # core | 1-inconn | 2-inconn | 3-inconn
     phase: str       # initialize | program-iteration
     mean_nj: float
@@ -61,8 +61,7 @@ class KernelEnergyRow:
     samples: int
 
 
-@dataclass(frozen=True)
-class AccuracyRow:
+class AccuracyRow(NamedTuple):
     instance: str
     iter_acc: float
     exec_energy_nj: float
@@ -221,16 +220,17 @@ def sublinearity_check(
     )
     core_flip = means[("core", "program-iteration")]
     for node in flip_events:
-        conflict_degree = len(graph.neighbor_lists[node]) - 2  # 2 triangle neighbors
+        conflict_degree = int(graph.degrees[node]) - 2  # 2 triangle neighbors
         prediction += core_flip + conflict_degree * inconn_flip
     return measured, float(prediction)
 
 
 def rows_to_csv(cls: type, rows: list) -> str:
-    """CSV of dataclass rows, quoted by ``csv.writer``: a field-name header, one line per row."""
+    """CSV of named-tuple rows of ``cls``, quoted by ``csv.writer``: the field
+    names as a header, then one line per row."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerows([[f.name for f in fields(cls)], *(field_dict(row).values() for row in rows)])
+    writer.writerows([cls._fields, *rows])
     return out.getvalue()
 
 

@@ -61,13 +61,11 @@ class IsingGraph:
         return len(self.edge_ends[0])
 
     @cached_property
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        # In (u, v) order every list fills ascending.
-        for u, v in zip(*map(np.ndarray.tolist, self.edge_ends)):
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(tuple, adj))
+    def degrees(self) -> np.ndarray:
+        """Each node's edge count, as a read-only int64 array."""
+        degrees = np.bincount(np.concatenate(self.edge_ends), minlength=self.num_nodes)
+        degrees.flags.writeable = False
+        return degrees
 
 
 @dataclass

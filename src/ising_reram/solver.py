@@ -35,9 +35,8 @@ refuses any count of up nodes but m before it looks at the clauses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -103,8 +102,7 @@ def load_config_document(doc: dict) -> tuple[DeviceConfig, SolverConfig]:
     return device, solver
 
 
-@dataclass
-class IterationTrace:
+class IterationTrace(NamedTuple):
     t: int
     q: float
     flipped: tuple[int, ...]
@@ -113,11 +111,6 @@ class IterationTrace:
     iteration_accurate: bool
     program_energy_nj: float
     inference_energy_nj: float
-
-
-# The JSON trace header: written once per report, not once per entry.
-_TRACE_FIELDS = tuple(f.name for f in fields(IterationTrace))
-_trace_row = attrgetter(*_TRACE_FIELDS)
 
 
 @dataclass
@@ -135,14 +128,10 @@ class RunReport:
 
     def to_json_dict(self) -> dict:
         """The report's content as JSON values: every field, with the trace
-        field names once under ``trace_fields`` and each trace entry an array
-        of those fields' values in that order.  The names are the
-        ``IterationTrace`` fields; a reader gets entry ``row`` back as
-        ``dict(zip(trace_fields, row))``."""
-        out = field_dict(self)
-        out["trace_fields"] = _TRACE_FIELDS
-        out["traces"] = [[_trace_row(tr) for tr in restart] for restart in self.traces]
-        return out
+        field names once under ``trace_fields``.  A trace entry is a named
+        tuple, so JSON writes it as the array of its values in field order; a
+        reader gets entry ``row`` back as ``dict(zip(trace_fields, row))``."""
+        return {**field_dict(self), "trace_fields": IterationTrace._fields}
 
 
 def report_to_json(report: RunReport) -> str:
@@ -155,16 +144,17 @@ def random_spins(num_nodes: int, rng: np.random.Generator) -> np.ndarray:
     return (2 * rng.integers(0, 2, size=num_nodes) - 1).astype(np.int64)
 
 
-def map_problem(graph: IsingGraph, spins: Sequence[int], xb: Crossbar) -> np.ndarray:
+def map_problem(graph: IsingGraph, spins: Sequence[int], xb: Crossbar) -> list[int]:
     """Program the spin-signed adjacency matrix into a blank array (kind "init")
-    and return, per node, whether its column pair holds its pattern.
+    and return the ascending, distinct nodes whose column pair missed its pattern.
 
     Column j carries adj(i, j) * s_j in its differential pair.  A blank array
     already holds every STATE0 target, so each nonzero adj(i, j) pulses only
     its high cell, (i, 2j + 1) when s_j > 0 and (i, 2j) otherwise, pairs in
     node order with rows ascending: the pulses, draws and ledger entries of
-    writing both cells of each pair, taken from the edge list.  A pair holds
-    its pattern when ``program_high`` flags all its written cells.  Before any
+    writing both cells of each pair, taken from the edge list.  A pair misses
+    its pattern when ``program_high`` flags one of its written cells as out of
+    its window: the shape of ``apply_flips``' missed nodes.  Before any
     write, raises MappingError when the problem needs more rows or columns
     than the device offers, and ValueError unless ``spins`` holds one +1 or
     -1 per node and every cell of ``xb`` senses STATE0.
@@ -178,9 +168,7 @@ def map_problem(graph: IsingGraph, spins: Sequence[int], xb: Crossbar) -> np.nda
     nodes, rows = np.divmod(np.sort(np.concatenate((v, u)) * n + np.concatenate((u, v))), n)
     cols = 2 * nodes + up[nodes]
     landed = xb.program_high(rows, cols)
-    held = np.ones(n, dtype=bool)
-    held[nodes[~landed]] = False
-    return held
+    return sorted(set(nodes[~landed].tolist()))
 
 
 def check_fits(n: int, config: DeviceConfig) -> None:
@@ -248,15 +236,15 @@ def q_unit(
 
 
 def select_flips(
-    delta: np.ndarray, q: float, config: SolverConfig, graph: IsingGraph, low: float
+    delta: np.ndarray, q: float, config: SolverConfig, adj: np.ndarray, low: float
 ) -> list[int]:
     """Up to k candidates with delta below q, forming an independent set.
 
     Candidates are ordered by ascending delta with node id as the tie-break;
-    adjacent picks are skipped because simultaneous neighbor flips would
-    invalidate each other's predicted cost.  ``low`` is ``min(delta)``: no
-    cost is below q exactly when ``low`` is not, and then the answer is []
-    after one comparison, with no pass over ``delta``.  At k = 1 the pick is
+    a candidate adjacent in ``adj`` to an earlier pick is skipped because
+    simultaneous neighbor flips would invalidate each other's predicted cost.
+    ``low`` is ``min(delta)``: no cost is below q exactly when ``low`` is not,
+    and then the answer is [] after one comparison, with no pass over ``delta``.  At k = 1 the pick is
     ``delta.argmin()``: the first index of the least cost is the stable sort's
     first candidate, and one node is an independent set.
     """
@@ -270,7 +258,7 @@ def select_flips(
     for i in candidates[np.argsort(delta[candidates], kind="stable")].tolist():
         if len(chosen) >= config.k:
             break
-        if any(j in graph.neighbor_lists[i] for j in chosen):
+        if any(adj[i, j] for j in chosen):
             continue
         chosen.append(i)
     return chosen
@@ -319,17 +307,17 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     iteration that flips nothing costs the q draw (one uniform) and one
     comparison, with no pass over delta.  The spread of the previous
     iteration's costs, which scales q_unit's annealing temperature, is taken
-    only on a non-greedy iteration and at most once per read.  The per-node
-    pattern verdicts are ``map_problem``'s, then each flip's (``apply_flips``'
-    missed nodes); their conjunction, refreshed only after a flip, is the
-    iteration's accuracy.  A verified assignment ends the run with verdict
+    only on a non-greedy iteration and at most once per read.  The nodes whose
+    pair misses its pattern start as ``map_problem``'s; a flip drops the
+    flipped nodes and adds ``apply_flips``' missed ones, and an iteration is
+    accurate when none is left.  A verified assignment ends the run with verdict
     SAT (unless ``profile_iterations`` is set, in which case every restart
     runs its full iteration budget and the first verified decode is reported
     at the end; only such runs have iterations after one with no flip).
     """
     graph = build_graph(cnf)
     adj = adjacency_matrix(graph)
-    degrees = np.bincount(np.concatenate(graph.edge_ends), minlength=graph.num_nodes)
+    degrees = graph.degrees
     params = solver_config.hamiltonian
     profile = solver_config.profile_iterations
 
@@ -342,8 +330,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
         srng = substream(solver_config.seed, restart, 0)
         spins = random_spins(graph.num_nodes, srng)
         xb = new_crossbar(device_config, derive_seed(solver_config.seed, restart, 1))
-        pattern_ok = map_problem(graph, spins, xb)
-        pattern_all = bool(pattern_ok.all())
+        unheld = set(map_problem(graph, spins, xb))
         traces: list[IterationTrace] = []
         prior_delta: Optional[np.ndarray] = None  # the previous iteration's delta
         sigma: Optional[float] = None  # np.std(spread_of), taken once per read
@@ -358,24 +345,15 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
             if not low < 0.0 and prior_delta is not spread_of:  # only annealing uses sigma
                 sigma, spread_of = float(np.std(prior_delta)), prior_delta
             q = q_unit(low, sigma, t, solver_config, srng)
-            flips = select_flips(delta, q, solver_config, graph, low)
+            flips = select_flips(delta, q, solver_config, adj, low)
             targeted, correct, missed = apply_flips(xb, spins, flips, adj)
-            if flips:
-                for j in flips:  # missed is a subset of flips
-                    pattern_ok[j] = j not in missed
-                pattern_all = bool(pattern_ok.all())
-            traces.append(
-                IterationTrace(
-                    t=t,
-                    q=float(q),
-                    flipped=tuple(flips),
-                    cells_targeted=targeted,
-                    cells_correct=correct,
-                    iteration_accurate=pattern_all,
-                    program_energy_nj=xb.ledger.program_energy_nj - prog_before,
-                    inference_energy_nj=xb.ledger.inference_energy_nj - infer_before,
-                )
-            )
+            unheld.difference_update(flips)  # missed is a subset of flips
+            unheld.update(missed)
+            traces.append(IterationTrace(
+                t, q, tuple(flips), targeted, correct, not unheld,
+                xb.ledger.program_energy_nj - prog_before,
+                xb.ledger.inference_energy_nj - infer_before,
+            ))
 
             if t == 0 or flips:  # otherwise the spins are unchanged: keep the last decode
                 assignment = decode_solution(graph, spins, cnf)
@@ -399,7 +377,7 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     return RunReport(
         verdict="SAT" if sat_assignment is not None else "Unknown",
         assignment=sat_assignment.values if sat_assignment is not None else None,
-        final_spins=tuple(int(s) for s in spins),
+        final_spins=tuple(spins.tolist()),
         traces=all_traces,
         totals=totals,
         iteration_accuracy=sum(tr.iteration_accurate for tr in every) / len(every),

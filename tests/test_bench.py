@@ -149,7 +149,7 @@ def test_suite_csv_quotes_a_label_with_a_comma(three_x):
     header, *lines = csv.reader(io.StringIO(suite_report_csv(rows)))
     assert header == list(get_type_hints(AccuracyRow))
     assert [line[0] for line in lines] == ["a,b", "Overall"]
-    assert [line[1:] for line in lines] == [[str(v) for v in vars(row).values()][1:] for row in rows]
+    assert [line[1:] for line in lines] == [[str(v) for v in row][1:] for row in rows]
 
 
 def test_sublinearity_zero_x():

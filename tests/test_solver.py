@@ -247,11 +247,11 @@ def test_q_unit_u_equal_one_gives_zero_threshold():
             return 0.0  # u = 1 - random() = 1
 
     cfg = SolverConfig()
-    g = graph_from_edges(2, [])
+    adj = adjacency_matrix(graph_from_edges(2, []))
     delta = np.array([2.0, 3.0])  # no improving move
     q = q_unit(2.0, None, 0, cfg, StubRng())
     assert q == 0.0
-    assert select_flips(delta, q, cfg, g, 2.0) == []
+    assert select_flips(delta, q, cfg, adj, 2.0) == []
 
 
 def test_q_unit_constant_prior_falls_back_to_b_pen():
@@ -269,18 +269,18 @@ def test_q_unit_constant_prior_falls_back_to_b_pen():
 
 
 def test_select_flips_independence_filter():
-    g = graph_from_edges(2, [(0, 1)])
+    adj = adjacency_matrix(graph_from_edges(2, [(0, 1)]))
     cfg = SolverConfig(k=2)
-    flips = select_flips(np.array([-1.0, -1.0]), 0.0, cfg, g, -1.0)
+    flips = select_flips(np.array([-1.0, -1.0]), 0.0, cfg, adj, -1.0)
     assert flips == [0]
 
 
 def test_select_flips_ordering_and_k():
-    g = graph_from_edges(3, [])
+    adj = adjacency_matrix(graph_from_edges(3, []))
     cfg = SolverConfig(k=2)
-    flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, g, -3.0)
+    flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, adj, -3.0)
     assert flips == [0, 2]
-    assert select_flips(np.array([1.0, 2.0]), 0.0, cfg, g, 1.0) == []
+    assert select_flips(np.array([1.0, 2.0]), 0.0, cfg, adj[:2, :2], 1.0) == []
 
 
 def test_apply_flips_write_counts(three_x):
@@ -467,7 +467,7 @@ def test_energy_descent_greedy_exact(three_x):
     for _ in range(10):
         energy_before = hamiltonian_energy(g, spins, PARAMS)
         delta = compute_delta(xb, spins, degrees, PARAMS)
-        flips = select_flips(delta, 0.0, cfg, g, delta.min())
+        flips = select_flips(delta, 0.0, cfg, adj, delta.min())
         if not flips:
             break
         apply_flips(xb, spins, flips, adj)
@@ -591,7 +591,7 @@ def _assert_traces_round_trip(report, text):
     many values, equal to its ``IterationTrace`` field by field (``repr`` tells
     -0.0 from 0.0, matches NaN with NaN, and 1 from 1.0 and True)."""
     parsed = json.loads(text)
-    names = [f.name for f in dataclasses.fields(IterationTrace)]
+    names = list(IterationTrace._fields)
     assert parsed["trace_fields"] == names
     rows = parsed["traces"]
     assert [len(r) for r in rows] == [len(r) for r in report.traces]
@@ -625,6 +625,20 @@ def _synthetic_reports():
     return [report, dataclasses.replace(report, traces=[])]
 
 
+def test_each_trace_writes_as_its_report_row(three_x):
+    noisy = run(random_3sat(5, 6, 11), DeviceConfig(rows=18, cols=36),
+                SolverConfig(k=3, restarts=3, max_iters=25, seed=3, profile_iterations=True))
+    checked = 0
+    for report in (noisy, *_synthetic_reports()):
+        rows = json.loads(report_to_json(report))["traces"]
+        for restart, parsed in zip(report.traces, rows, strict=True):
+            for tr, row in zip(restart, parsed, strict=True):
+                # repr tells -0.0 from 0.0 and matches NaN with NaN.
+                assert repr(json.loads(json.dumps(tr))) == repr(row)
+                checked += 1
+    assert checked == 75 + 3
+
+
 def test_report_json_matches_stdlib_encoder(three_x):
     sat = run(three_x, exact_device(rows=8, cols=12), SolverConfig(seed=3))
     unknown = run(unsat_eight_clause(), exact_device(rows=24, cols=48),
@@ -650,7 +664,7 @@ def test_report_json_is_slim_and_strict():
         raise ValueError(f"non-standard JSON constant {name}")
 
     parsed = json.loads(text, parse_constant=reject)
-    names = [f.name for f in dataclasses.fields(IterationTrace)]
+    names = list(IterationTrace._fields)
     assert [len(r) for r in parsed["traces"]] == [300, 300]
     assert parsed["trace_fields"] == names
     assert all(len(row) == len(names) for r in parsed["traces"] for row in r)
@@ -713,7 +727,7 @@ def _hand_loop(cnf, device, config):
             read_nj = xb.ledger.inference_energy_nj - before
             low = min(delta.tolist())
             q = q_unit(low, float(np.std(prior)) if prior is not None else None, t, config, rng)
-            flips = select_flips(delta, q, config, graph, low)
+            flips = select_flips(delta, q, config, adj, low)
             targeted, correct, _ = apply_flips(xb, spins, flips, adj)
             accurate = correct == targeted and _pattern_ok(xb, adj, spins)
             rows.append(
@@ -841,33 +855,30 @@ def _noisy_run_checking_verify(monkeypatch, p_cell_success, k=1):
     checking every iteration's verify.
 
     At each trace (built once per iteration, after the flips are written and
-    the pattern vector is refreshed) the per-node pattern vector that `run`
-    keeps, the one map_problem returned, must agree with the whole-array
-    oracle, and the trace's verdict must follow from it.  Returns the run's
-    crossbars, the oracle's verdict per iteration and the number of nodes
-    each iteration flipped.
+    the missed nodes are refreshed) the trace's verdict must agree with the
+    whole-array oracle; the nodes map_problem returns must be the ones the
+    oracle fails after the init.  Returns the run's crossbars, the oracle's
+    verdict per iteration and the number of nodes each iteration flipped.
     """
     live, crossbars, verdicts, widths = {}, [], [], []
     map_problem_, trace_ = solver_module.map_problem, solver_module.IterationTrace
 
     def recording_map(graph, spins, xb):
-        pattern_ok = map_problem_(graph, spins, xb)
+        unheld = map_problem_(graph, spins, xb)
         adj = adjacency_matrix(graph)
-        assert pattern_ok.tolist() == _whole_array_pattern(xb, adj, spins).tolist()
-        live.update(adj=adj, spins=spins, xb=xb, pattern_ok=pattern_ok)
+        assert unheld == np.flatnonzero(~_whole_array_pattern(xb, adj, spins)).tolist()
+        live.update(adj=adj, spins=spins, xb=xb)
         crossbars.append(xb)
-        return pattern_ok
+        return unheld
 
-    def checking_trace(**fields):
+    def checking_trace(*values):
+        tr = trace_(*values)
         oracle = _pattern_ok(live["xb"], live["adj"], live["spins"])
-        assert bool(live["pattern_ok"].all()) == oracle
-        assert fields["iteration_accurate"] == (
-            oracle and fields["cells_correct"] == fields["cells_targeted"]
-        )
-        assert fields["iteration_accurate"] == oracle
+        assert tr.iteration_accurate == (oracle and tr.cells_correct == tr.cells_targeted)
+        assert tr.iteration_accurate == oracle
         verdicts.append(oracle)
-        widths.append(len(fields["flipped"]))
-        return trace_(**fields)
+        widths.append(len(tr.flipped))
+        return tr
 
     monkeypatch.setattr(solver_module, "map_problem", recording_map)
     monkeypatch.setattr(solver_module, "IterationTrace", checking_trace)
@@ -944,24 +955,47 @@ def test_map_problem_verdict_equals_the_whole_array_pass(overrides):
             spins = random_spins(n, np.random.default_rng(seed))
             xb = new_crossbar(cfg, seed)
             got = map_problem(graph, spins, xb)
-            assert got.dtype == bool and got.shape == (n,)
-            assert got.tolist() == _whole_array_pattern(xb, adj, spins).tolist()
-            seen.update(got.tolist())
+            whole = _whole_array_pattern(xb, adj, spins)
+            assert got == np.flatnonzero(~whole).tolist()
+            seen.update(whole.tolist())
         assert seen == {True, False}  # some column failed its init
 
 
-def _select_by_sort(delta, q, config, graph):
+@DEVICE_VARIANTS
+def test_map_problem_returns_the_missed_nodes_sorted_and_distinct(overrides):
+    graph = build_graph(random_3sat(5, 8, 4))
+    adj = adjacency_matrix(graph)
+    n = graph.num_nodes
+    empty = set()
+    for p_cell_success in (1.0, None, 0.6):
+        extra = {} if p_cell_success is None else {"p_cell_success": p_cell_success}
+        cfg = DeviceConfig(**{"rows": n, "cols": 2 * n, **overrides, **extra})
+        for seed in range(6):
+            spins = random_spins(n, np.random.default_rng(seed))
+            xb = new_crossbar(cfg, seed)
+            got = map_problem(graph, spins, xb)
+            whole = _whole_array_pattern(xb, adj, spins)
+            assert type(got) is list and all(type(j) is int for j in got)
+            assert got == sorted(set(got))
+            assert got == [j for j in range(n) if not whole[j]]
+            assert (got == []) == bool(whole.all())
+            empty.add(got == [])
+    assert empty == {True, False}
+
+
+def _select_by_sort(delta, q, config, adj):
     """select_flips' rule with a Python sort on (cost, node id)."""
     costs = delta.tolist()
     chosen = []
     for i in sorted((i for i, c in enumerate(costs) if c < q), key=lambda i: (costs[i], i)):
-        if len(chosen) < config.k and not any(j in graph.neighbor_lists[i] for j in chosen):
+        if len(chosen) < config.k and not any(adj[i][j] for j in chosen):
             chosen.append(i)
     return chosen
 
 
 def test_least_cost_shortcuts_match_the_full_tests():
     g = build_graph(random_3sat(5, 8, 4))
+    adj = adjacency_matrix(g)
     rng = np.random.default_rng(9)
     taken = 0
     for t in range(400):
@@ -979,12 +1013,31 @@ def test_least_cost_shortcuts_match_the_full_tests():
             u = b.random()
             assert q == float(-config.t0 * config.alpha ** (t % 50) * sigma * np.log(1.0 - u))
         assert a.bit_generator.state == b.bit_generator.state
-        flips = select_flips(delta, q, config, g, low)
-        assert flips == _select_by_sort(delta, q, config, g)
+        flips = select_flips(delta, q, config, adj, low)
+        assert flips == _select_by_sort(delta, q, config, adj)
         for cut in (low, low + 0.1, low - 0.1, 1.5, 2.5):  # q on and beside the least cost
-            assert select_flips(delta, cut, config, g, low) == _select_by_sort(delta, cut, config, g)
+            assert select_flips(delta, cut, config, adj, low) == _select_by_sort(delta, cut, config, adj)
         taken += bool(flips)
     assert 0 < taken < 400
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_select_flips_on_the_adjacency_matrix_matches_the_sort(k):
+    # Integer costs tie often, so node ids break ties and neighbours crowd the front.
+    graph = build_graph(random_3sat(5, 8, 4))
+    adj = adjacency_matrix(graph)
+    config, rng = SolverConfig(k=k), np.random.default_rng(k)
+    widths, skipped = set(), 0
+    for _ in range(300):
+        delta = rng.integers(-3, 3, graph.num_nodes).astype(float)
+        low = float(delta.min())
+        for q in (low, low + 1.0, 0.0, 1.0, 3.0):
+            flips = select_flips(delta, q, config, adj, low)
+            assert flips == _select_by_sort(delta, q, config, adj)
+            assert not adj[np.ix_(flips, flips)].any()  # an independent set
+            widths.add(len(flips))
+            skipped += len(flips) < min(k, int((delta < q).sum()))
+    assert widths == set(range(k + 1)) and skipped > 0
 
 
 @pytest.mark.parametrize("costs", [
@@ -997,12 +1050,12 @@ def test_least_cost_shortcuts_match_the_full_tests():
     [np.inf] * 6,
 ])
 def test_one_flip_pick_is_the_sorts_first_candidate(three_x, costs):
-    g, delta, config = build_graph(three_x), np.array(costs), SolverConfig(k=1)
+    adj, delta, config = adjacency_matrix(build_graph(three_x)), np.array(costs), SolverConfig(k=1)
     low = float(delta.min())
     picks = []
     for q in (low, low + 1.0, -1.0, 0.0, 0.5, 1.0, np.inf):
-        picks.append(select_flips(delta, q, config, g, low))
-        assert picks[-1] == _select_by_sort(delta, q, config, g), q
+        picks.append(select_flips(delta, q, config, adj, low))
+        assert picks[-1] == _select_by_sort(delta, q, config, adj), q
     assert any(picks) or low == np.inf
 
 
@@ -1056,7 +1109,7 @@ def _read_energies(report) -> list[float]:
 
 
 def _without_read_energies(report) -> RunReport:
-    traces = [[dataclasses.replace(tr, inference_energy_nj=0.0) for tr in restart]
+    traces = [[tr._replace(inference_energy_nj=0.0) for tr in restart]
               for restart in report.traces]
     totals = {**report.totals, "inference_energy_nj": 0.0}
     return dataclasses.replace(report, traces=traces, totals=totals)

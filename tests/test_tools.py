@@ -20,7 +20,13 @@ def test_byte_identity_maps_every_op_of_every_workload_and_seed():
     )
     assert done.returncode == 0, done.stderr
     table = json.loads(done.stdout)
-    assert sorted(table) == sorted([*OPS_PER_RUN, "commands", "reduction"])
+    assert sorted(table) == sorted([*OPS_PER_RUN, "commands", "configs", "reduction"])
+    configs = table.pop("configs")
+    assert sorted(configs) == sorted(
+        ["DeviceConfig", "SolverConfig", "solve", "solve-config-seed", "solve-noisy-k3"]
+    )
+    assert all(len(sha) == 64 and int(sha, 16) >= 0 for sha in configs.values())
+    assert len(set(configs.values())) == len(configs)
     reduction = table.pop("reduction")
     assert sorted(reduction) == sorted(OPS_PER_RUN)
     for name, seeds in reduction.items():

@@ -17,7 +17,10 @@ array, the same solve with its seed taken only from the config's
 that write misses fall on several flipped nodes of one iteration, a ``solve
 --report`` of the 3-X instance that ends SAT, ``bench --csv`` and ``kernels
 --csv``) and of each demo's stdout, run in subprocesses on the checkout's
-``src/``.  A change is byte-identical when two checkouts give the same map:
+``src/``.  Under ``configs`` it holds the sha256 of the ``to_dict()`` JSON of
+``DeviceConfig()``, ``SolverConfig()`` and the configs the three m=40 solves
+load, so that a new config field shows even where its default changes no
+output.  A change is byte-identical when two checkouts give the same map:
 
     python3 tools/byte_identity.py --against ../parent
 
@@ -129,6 +132,20 @@ def digests(workloads) -> tuple[dict, int]:
     return out, errors
 
 
+def config_digests() -> dict:
+    """sha256 of the default configs' and the m=40 solves' configs' ``to_dict()`` JSON."""
+    from ising_reram import DeviceConfig, SolverConfig, load_config_document
+
+    docs = {"solve": SOLVE_CONFIG, "solve-config-seed": SEEDED_CONFIG,
+            "solve-noisy-k3": NOISY_K3_CONFIG}
+    dicts = {"DeviceConfig": DeviceConfig().to_dict(), "SolverConfig": SolverConfig().to_dict()}
+    for key, doc in docs.items():
+        device, solver = load_config_document(doc)
+        dicts[key] = {"device": device.to_dict(), "solver": solver.to_dict()}
+    return {key: hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+            for key, d in dicts.items()}
+
+
 def command_digests(root: Path) -> tuple[dict, int]:
     """Digests of the CLI runs and the demos' stdout, and the count of bad exits.
 
@@ -204,6 +221,7 @@ def main(argv=None) -> int:
         if not other.stdout:  # it failed before printing its map
             return 1
     table, errors = digests(load_workloads(args.root))
+    table["configs"] = config_digests()
     table["commands"], bad_exits = command_digests(args.root)
     errors += bad_exits
     if args.against is None:
