@@ -280,7 +280,7 @@ def test_select_flips_ordering_and_k():
     cfg = SolverConfig(k=2)
     flips = select_flips(np.array([-3.0, -1.0, -2.0]), 0.0, cfg, adj, -3.0)
     assert flips == [0, 2]
-    assert select_flips(np.array([1.0, 2.0]), 0.0, cfg, adj[:2, :2], 1.0) == []
+    assert select_flips(np.array([1.0, 2.0]), 0.0, cfg, adj, 1.0) == []
 
 
 def test_apply_flips_write_counts(three_x):
@@ -625,7 +625,7 @@ def _synthetic_reports():
     return [report, dataclasses.replace(report, traces=[])]
 
 
-def test_each_trace_writes_as_its_report_row(three_x):
+def test_each_trace_writes_as_its_report_row():
     noisy = run(random_3sat(5, 6, 11), DeviceConfig(rows=18, cols=36),
                 SolverConfig(k=3, restarts=3, max_iters=25, seed=3, profile_iterations=True))
     checked = 0
