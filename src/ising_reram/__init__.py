@@ -6,7 +6,6 @@ from .cnf import (
     Cnf,
     CnfError,
     DimacsError,
-    Literal,
     brute_force_sat,
     density,
     emit_dimacs,

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,77 +32,50 @@ class DimacsError(CnfError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A possibly negated propositional variable (1-based index)."""
-
-    variable: int
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if self.variable < 1:
-            raise CnfError(f"variable index must be >= 1, got {self.variable}")
-
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise CnfError("literal 0 is reserved as the clause terminator")
-        return cls(abs(lit), lit < 0)
-
-    def to_int(self) -> int:
-        return -self.variable if self.negated else self.variable
-
-    def holds(self, value: bool) -> bool:
-        """Truth of this literal when its variable takes ``value``."""
-        return value != self.negated
+def int64_array(values, name: str) -> np.ndarray:
+    """``values`` as a new int64 array.  Converting other dtypes would truncate
+    floats, parse strings and wrap uint64, so only an integer dtype that casts
+    safely to int64, or an empty array, is taken; ``name`` heads the error."""
+    arr = np.asarray(values)
+    if arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+        raise CnfError(f"{name} must be integers within int64, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class Clause:
-    """Exactly three literals over three distinct variables.
+class Clause(NamedTuple):
+    """One row of ``Cnf.lits`` as three signed Python ints."""
 
-    Repeated variables are rejected outright: a duplicated literal degenerates
-    the clause toward 2-SAT and an opposed pair makes it tautological, and
-    neither shape maps onto the clause-triangle graph structure downstream.
-    """
-
-    literals: tuple[Literal, Literal, Literal]
-
-    def __post_init__(self) -> None:
-        if len(self.literals) != 3:
-            raise CnfError(
-                f"clause must have exactly 3 literals, got {len(self.literals)}"
-            )
-        variables = {lit.variable for lit in self.literals}
-        if len(variables) != 3:
-            ints = tuple(lit.to_int() for lit in self.literals)
-            raise CnfError(f"clause {ints} repeats a variable")
-
-    @classmethod
-    def of(cls, *lits: int) -> "Clause":
-        return cls(tuple(Literal.from_int(lit) for lit in lits))
+    a: int
+    b: int
+    c: int
 
     def to_ints(self) -> tuple[int, int, int]:
-        return tuple(lit.to_int() for lit in self.literals)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
 class Cnf:
     """A 3-SAT instance: ``num_vars`` variables and ``lits``, a read-only (m, 3)
     int64 array of signed literals, one clause per row, each row three
-    distinct variables in 1..num_vars.  Equal when both fields are."""
+    distinct variables in 1..num_vars.  Equal when both fields are.
+
+    A repeated variable is refused: a duplicated literal degenerates the clause
+    toward 2-SAT and an opposed pair makes it a tautology, and neither shape
+    maps onto the clause triangle of the reduction graph."""
 
     num_vars: int
     lits: np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.num_vars, bool) or not isinstance(self.num_vars, (int, np.integer)):
+            raise CnfError(f"num_vars must be an integer, got {self.num_vars!r}")
         if self.num_vars < 1:
             raise CnfError(f"num_vars must be >= 1, got {self.num_vars}")
-        lits = np.asarray(self.lits)
-        # Converting other types to int64 would truncate floats, parse strings, wrap uint64.
-        if lits.size and not (lits.dtype.kind in "iu" and np.can_cast(lits.dtype, np.int64)):
-            raise CnfError(f"literals must be integers within int64, got dtype {lits.dtype}")
-        lits = lits.astype(np.int64)
+        try:
+            lits = np.asarray(self.lits)
+        except ValueError:  # numpy refuses a ragged nesting
+            raise CnfError("clauses must have exactly 3 literals, got a ragged list") from None
+        lits = int64_array(lits, "literals")
         if len(lits) < 1:
             raise CnfError("a CNF needs at least one clause")
         if lits.ndim != 2 or lits.shape[1] != 3:
@@ -129,7 +102,7 @@ class Cnf:
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
-        return tuple(Clause.of(*row) for row in self.lits.tolist())
+        return tuple(map(Clause._make, self.lits.tolist()))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Cnf) and self.num_vars == other.num_vars

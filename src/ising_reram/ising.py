@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cnf import Assignment, Cnf, CnfError, verify_assignment
+from .cnf import Assignment, Cnf, CnfError, int64_array, verify_assignment
 
 MAX_EXHAUSTIVE_NODES = 24
 
@@ -36,8 +36,8 @@ class IsingGraph:
     sorted by (u, v)."""
 
     def __init__(self, lits, edge_ends) -> None:
-        self.lits = np.array(lits, dtype=np.int64)
-        u, v = (np.array(ends, dtype=np.int64) for ends in edge_ends)
+        self.lits = int64_array(lits, "literals")
+        u, v = (int64_array(ends, "edge ends") for ends in edge_ends)
         n = len(self.lits)
         if len(u) != len(v):
             raise ValueError(f"edge ends of unequal length {len(u)} and {len(v)}")

@@ -112,6 +112,12 @@ def _rows_from_csv(cls, text):
     return [cls(*(t(v) for t, v in zip(types.values(), line.split(",")))) for line in lines]
 
 
+def test_kernel_report_needs_a_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            kernel_energy_report(DeviceConfig(), trials=trials)
+
+
 def test_kernel_csv_round_trip():
     rows = kernel_energy_report(DeviceConfig(), trials=3, seed=2)
     assert _rows_from_csv(KernelEnergyRow, kernel_report_csv(rows)) == rows

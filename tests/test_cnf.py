@@ -11,7 +11,6 @@ from ising_reram import (
     Cnf,
     CnfError,
     DimacsError,
-    Literal,
     brute_force_sat,
     density,
     emit_dimacs,
@@ -168,6 +167,10 @@ def test_well_formed_text_takes_the_one_pass_reader(monkeypatch):
         (3, [(True, False, True)], "literals must be integers within int64, got dtype bool"),
         (3, np.array([[1, 2, 2**64 - 1]], dtype=np.uint64),
          "literals must be integers within int64, got dtype uint64"),
+        (3, [[1, 2, 3], [1, 2]], "clauses must have exactly 3 literals, got a ragged list"),
+        (3.0, [(1, 2, 3)], "num_vars must be an integer, got 3.0"),
+        ("3", [(1, 2, 3)], "num_vars must be an integer, got '3'"),
+        (None, [(1, 2, 3)], "num_vars must be an integer, got None"),
     ],
 )
 def test_cnf_validation_messages(num_vars, lits, message):
@@ -181,6 +184,7 @@ def test_cnf_is_a_read_only_value():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != Cnf(6, a.lits[::-1]) and a != Cnf(7, a.lits)
     assert Cnf(6, a.lits.astype(np.int8)) == a
+    assert Cnf(np.int64(6), a.lits) == a and emit_dimacs(Cnf(np.int64(6), a.lits)) == emit_dimacs(a)
     assert a.lits.shape == (5, 3) and a.lits.dtype == np.int64
     with pytest.raises(ValueError):
         a.lits[0, 0] = 4
@@ -189,9 +193,9 @@ def test_cnf_is_a_read_only_value():
 
 def test_tautology_and_repeat_rejected_at_construction():
     with pytest.raises(CnfError):
-        Clause.of(1, -1, 2)
+        Cnf(3, [(1, -1, 2)])
     with pytest.raises(CnfError):
-        Clause.of(2, 2, 3)
+        Cnf(3, [(2, 2, 3)])
 
 
 def test_round_trip(three_x):
@@ -263,7 +267,7 @@ def test_random_3sat_determinism_and_structure():
     for seed in range(50):
         cnf = random_3sat(6, 2, seed)
         for clause in cnf.clauses:
-            assert len({lit.variable for lit in clause.literals}) == 3
+            assert len({abs(lit) for lit in clause}) == 3
 
 
 def test_random_3sat_guards():
@@ -273,10 +277,13 @@ def test_random_3sat_guards():
         random_3sat(5, 0, 0)
 
 
-def test_literal_helpers():
-    lit = Literal.from_int(-6)
-    assert lit == Literal(6, True)
-    assert lit.to_int() == -6
-    assert lit.holds(False) and not lit.holds(True)
-    with pytest.raises(CnfError):
-        Literal(0)
+def test_clauses_are_the_rows_of_lits():
+    cnf = random_3sat(9, 12, 4)
+    rows = [tuple(row) for row in cnf.lits.tolist()]
+    assert all(isinstance(clause, Clause) for clause in cnf.clauses)
+    assert list(cnf.clauses) == rows
+    # RandomSat.check compares these values with the benchmark's int triples.
+    for clause, row in zip(cnf.clauses, rows):
+        ints = clause.to_ints()
+        assert type(ints) is tuple and ints == row
+        assert all(type(lit) is int for lit in ints)

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ising_reram import (
     WriteOutcome,
     new_crossbar,
 )
+from ising_reram.util import from_mapping
 from conftest import DEVICE_VARIANTS, exact_device
 
 
@@ -78,6 +81,22 @@ def test_bad_dims_rejected():
         DeviceConfig(rows=0)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"g_state0": 0.0}, "physical quantities must be positive"),
+        ({"tolerance": -1.0}, "physical quantities must be positive"),
+        ({"t_read": 0.0}, "physical quantities must be positive"),
+        ({"p_cell_success": 1.5}, r"p_cell_success 1.5 not in \[0,1\]"),
+        ({"p_cell_success": -0.1}, r"p_cell_success -0.1 not in \[0,1\]"),
+        ({"energy_noise_sigma": -0.3}, "energy_noise_sigma must be >= 0"),
+    ],
+)
+def test_config_rejects_out_of_range_fields(overrides, message):
+    with pytest.raises(DeviceConfigError, match=f"^{message}"):
+        DeviceConfig(**overrides)
+
+
 def test_classify_windows():
     cfg = DeviceConfig()
     assert cfg.classify_value(25.0) == CellState.STATE0
@@ -107,6 +126,8 @@ def test_curve_validation():
         DeviceConfig(energy_curve=((0.0, 0.0), (100.0, 0.0)))
     with pytest.raises(DeviceConfigError, match="start at 0 uS"):
         DeviceConfig(energy_curve=((-10.0, 0.0), (0.0, 0.1), (100.0, 5.0)))
+    with pytest.raises(DeviceConfigError, match="at least two points"):
+        DeviceConfig(energy_curve=((0.0, 0.0),))
 
 
 def test_program_cell_skip_is_free():
@@ -454,6 +475,14 @@ def test_read_columns_rejects_drives_outside_unit_set(bad):
     assert xb.ledger.inference_energy_nj == 0.0
 
 
+@pytest.mark.parametrize("shape", [(31,), (33,), (32, 1), ()])
+def test_read_columns_rejects_a_drive_of_the_wrong_shape(shape):
+    xb = new_crossbar(DeviceConfig(), seed=1)
+    with pytest.raises(ValueError, match=rf"drive has shape {re.escape(str(shape))}, expected \(32,\)"):
+        xb.read_columns(np.ones(shape, dtype=int))
+    assert xb.ledger.inference_energy_nj == 0.0
+
+
 def test_read_columns_accepts_float_unit_drive():
     xb = new_crossbar(DeviceConfig(), seed=1)
     xb.inject_fault(1, 4, 70.0)
@@ -750,6 +779,8 @@ def test_ledger_rejects_nan_and_unknown_kinds():
         ledger.record("inference", float("inf"))
     with pytest.raises(ValueError, match="unknown ledger kind"):
         ledger.record("erase", 1.0)
+    with pytest.raises(ValueError, match="unknown ledger kind 'erase'"):
+        ledger.record_all("erase", np.array([1.0, 2.0]))
     assert ledger.program_energy_nj == 1.5
     assert ledger.total_nj() == 1.5
 
@@ -972,8 +1003,10 @@ def test_a_batch_whose_energies_the_ledger_refuses_writes_what_the_loop_writes(
         ((10, 1), None, ValueError, "repeated"),
         (None, 70.0, ValueError, "blank array"),
         (None, 45.0, ValueError, "blank array"),  # the dead zone
+        ((12,), None, ValueError, "could not be broadcast"),  # a row with no column
     ],
-    ids=["row-out-of-range", "col-out-of-range", "repeated", "state1-cell", "dead-zone"],
+    ids=["row-out-of-range", "col-out-of-range", "repeated", "state1-cell", "dead-zone",
+         "unequal-lengths"],
 )
 def test_program_high_refuses_before_any_draw(extra, fault, error, message, length):
     cfg = DeviceConfig()
@@ -983,7 +1016,7 @@ def test_program_high_refuses_before_any_draw(extra, fault, error, message, leng
             each.inject_fault(0, 0, fault)
     rows, cols = np.divmod(np.arange(length) + 10 * cfg.cols, cfg.cols)
     if extra is not None:  # last, after cells that would pulse
-        rows, cols = np.append(rows, extra[0]), np.append(cols, extra[1])
+        rows, cols = np.append(rows, extra[0]), np.append(cols, extra[1:]).astype(int)
     with pytest.raises(error, match=message):
         xb.program_high(rows, cols)
     assert _same_generators(xb, twin)  # no block drawn
@@ -1032,3 +1065,16 @@ def test_config_json_round_trip():
 def test_config_rejects_unknown_keys():
     with pytest.raises(DeviceConfigError):
         DeviceConfig.from_dict({"rows": 4, "colz": 2})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Named:
+    name: str = "sensed"
+    size: int = 1
+
+
+def test_from_mapping_checks_a_str_field_by_its_type():
+    assert from_mapping(_Named, {"name": "analog", "size": 2}, DeviceConfigError) == _Named("analog", 2)
+    for value in (1, None, ["sensed"]):
+        with pytest.raises(DeviceConfigError, match=r"^_Named\.name has the wrong type"):
+            from_mapping(_Named, {"name": value}, DeviceConfigError)

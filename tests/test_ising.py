@@ -67,9 +67,9 @@ def test_edge_count_identity():
         conflicts = 0
         for ci in range(cnf.num_clauses):
             for cj in range(ci + 1, cnf.num_clauses):
-                for a in cnf.clauses[ci].literals:
-                    for b in cnf.clauses[cj].literals:
-                        conflicts += a.variable == b.variable and a.negated != b.negated
+                for a in cnf.clauses[ci]:
+                    for b in cnf.clauses[cj]:
+                        conflicts += a == -b
         g = build_graph(cnf)
         assert g.num_edges == 3 * cnf.num_clauses + conflicts
 
@@ -152,6 +152,9 @@ def test_spin_entries_must_be_plus_or_minus_one(three_x, call, bad):
 def test_delta_examples():
     pair = graph_from_edges(2, [(0, 1)])
     assert delta_oracle(pair, [1, 1], PARAMS, 1) == -1.0
+    for node in (-1, 2):
+        with pytest.raises(ValueError, match=f"node {node} out of range"):
+            delta_oracle(pair, [1, 1], PARAMS, node)
     isolated = graph_from_edges(1, [])
     assert delta_oracle(isolated, [-1], PARAMS, 0) == -PARAMS.b_pen
 
@@ -262,8 +265,8 @@ def test_decode_matches_node_and_edge_walk():
         model = brute_force_sat(cnf)
         if model is not None:  # one true literal per clause: an independent pick
             picks.append(np.array([
-                3 * c + next(p for p, lit in enumerate(clause.literals)
-                             if model.values[lit.variable - 1] != lit.negated)
+                3 * c + next(p for p, lit in enumerate(clause)
+                             if model.values[abs(lit) - 1] == (lit > 0))
                 for c, clause in enumerate(cnf.clauses)
             ]))
         states = [spins_with_up(n, up) for up in picks]
@@ -328,9 +331,9 @@ def _clause_pair_edges(cnf):
         edges |= {(base, base + 1), (base, base + 2), (base + 1, base + 2)}
     for ci in range(cnf.num_clauses):
         for cj in range(ci + 1, cnf.num_clauses):
-            for p, a in enumerate(cnf.clauses[ci].literals):
-                for q, b in enumerate(cnf.clauses[cj].literals):
-                    if a.variable == b.variable and a.negated != b.negated:
+            for p, a in enumerate(cnf.clauses[ci]):
+                for q, b in enumerate(cnf.clauses[cj]):
+                    if a == -b:
                         edges.add((3 * ci + p, 3 * cj + q))
     return frozenset(edges)
 
@@ -431,6 +434,30 @@ def test_graph_rejects_bad_edges_among_many_and_names_the_first():
         with pytest.raises(CnfError, match=rf"bad edge \({edge[0]}, {edge[1]}\) for {n} nodes"):
             IsingGraph(g.lits, (bad_u, bad_v))
     assert IsingGraph(g.lits, g.edge_ends).num_edges == g.num_edges
+
+
+@pytest.mark.parametrize(
+    "lits, ends, name, dtype",
+    [
+        ([1.5, 2, 3], ([0.7], [1.9]), "literals", "float64"),  # once read as (1, 2, 3), edge (0, 1)
+        (["1", "2", "3"], (["0"], ["2"]), "literals", "<U1"),  # once parsed into a graph
+        ([1, 2, 3], ([0.7], [1.9]), "edge ends", "float64"),
+        ([1, 2, 3], ([0], ["2"]), "edge ends", "<U1"),
+        ([1, 2, 3], ([0], np.array([2], dtype=np.uint64)), "edge ends", "uint64"),
+        ([True, False, True], ([0], [1]), "literals", "bool"),
+    ],
+)
+def test_graph_takes_integers_within_int64_only(lits, ends, name, dtype):
+    with pytest.raises(CnfError, match=f"^{name} must be integers within int64, got dtype {dtype}$"):
+        IsingGraph(lits, ends)
+
+
+def test_graph_takes_any_integer_dtype_and_empty_edge_ends():
+    g = IsingGraph(np.array([1, -2, 3], dtype=np.int8), ([], []))
+    assert g.lits.dtype == np.int64 and g.lits.tolist() == [1, -2, 3]
+    assert all(ends.dtype == np.int64 for ends in g.edge_ends) and g.num_edges == 0
+    g = IsingGraph([1, 2, 3], (np.array([0], dtype=np.uint8), np.array([2], dtype=np.int32)))
+    assert [ends.tolist() for ends in g.edge_ends] == [[0], [2]]
 
 
 @pytest.mark.parametrize("ends", [([0, 1], [1]), ([], [1]), ([0, 1, 0], [1, 2])])

@@ -1,4 +1,5 @@
-"""The byte-identity tool prints one digest entry per benchmark operation and command."""
+"""The byte-identity tool prints one digest entry per benchmark operation and command;
+the unexecuted-statement tool names the statements that a traced run never reached."""
 
 import hashlib
 import importlib.util
@@ -57,11 +58,15 @@ def test_byte_identity_maps_every_op_of_every_workload_and_seed():
             assert len({entry["sha256"] for entry in ops.values()}) == n_ops
 
 
-def _byte_identity_module():
-    spec = importlib.util.spec_from_file_location("byte_identity", ROOT / "tools" / "byte_identity.py")
+def _module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _byte_identity_module():
+    return _module("byte_identity", ROOT / "tools" / "byte_identity.py")
 
 
 def test_against_prints_each_differing_key_with_both_values(capsys):
@@ -111,3 +116,33 @@ def test_reduction_digest_covers_the_round_trip_and_every_edge():
                  for text in texts]
     assert tool.reduction_digest(Workload(respelled)) == digest
     assert tool.reduction_digest(Workload(texts[:2])) != digest
+
+
+BRANCHY = """\"\"\"A module with one untaken branch.\"\"\"
+
+LIMIT = 0
+
+
+def sign(x):
+    \"\"\"Up or down.\"\"\"
+    global LIMIT
+    if x > LIMIT:
+        return (
+            "up"
+        )
+    return "down"
+"""
+
+
+def test_unexecuted_names_only_the_untaken_branch(tmp_path):
+    tool = _module("unexecuted", ROOT / "tools" / "unexecuted.py")
+    path = tmp_path / "branchy.py"
+    path.write_text(BRANCHY)
+    branchy = _module("branchy", path)
+    found = tool.statements(BRANCHY)
+    # The docstrings, the global declaration and the module-level assignment are not listed.
+    assert sorted(found) == [9, 10, 13]
+    executed = tool.trace([path], lambda: branchy.sign(1))
+    assert tool.unexecuted(found, executed[path]) == [13]
+    executed = tool.trace([path], lambda: branchy.sign(-1))
+    assert tool.unexecuted(found, executed[path]) == [10]
