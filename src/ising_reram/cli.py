@@ -15,8 +15,8 @@ from .bench import (
     run_suite,
     suite_report_csv,
 )
-from .cnf import CnfError, emit_dimacs, parse_dimacs, random_3sat
-from .device import DeviceConfig, DeviceConfigError
+from .cnf import emit_dimacs, parse_dimacs, random_3sat
+from .device import DeviceConfig
 from .solver import SolverConfig, load_config_document, report_to_json, run
 
 
@@ -118,9 +118,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cnf = random_3sat(args.num_vars, args.num_clauses, args.seed)
             sys.stdout.write(emit_dimacs(cnf))
             return 0
-    except (
-        CnfError, DeviceConfigError, ValueError, OverflowError, OSError, json.JSONDecodeError
-    ) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")

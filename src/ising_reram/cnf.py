@@ -32,13 +32,21 @@ class DimacsError(CnfError):
         self.line = line
 
 
-def int64_array(values, name: str) -> np.ndarray:
-    """``values`` as a new int64 array.  Converting other dtypes would truncate
-    floats, parse strings and wrap uint64, so only an integer dtype that casts
-    safely to int64, or an empty array, is taken; ``name`` heads the error."""
-    arr = np.asarray(values)
-    if arr.size and not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+def int64_array(values, name: str, ndim: int, shape_rule: str) -> np.ndarray:
+    """``values`` as a new int64 array of ``ndim`` dimensions, empty for any empty input.
+    Other dtypes would truncate floats, parse strings and wrap uint64, so any
+    but an integer dtype that casts safely to int64 raises CnfError headed by
+    ``name``; a ragged nesting or another ``ndim`` raises it headed by ``shape_rule``."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise CnfError(f"{shape_rule}, got a ragged list") from None
+    if not arr.size:
+        return np.zeros((0,) * ndim, dtype=np.int64)
+    if not (arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
         raise CnfError(f"{name} must be integers within int64, got dtype {arr.dtype}")
+    if arr.ndim != ndim:
+        raise CnfError(f"{shape_rule}, got shape {arr.shape}")
     return arr.astype(np.int64)
 
 
@@ -57,7 +65,9 @@ class Clause(NamedTuple):
 class Cnf:
     """A 3-SAT instance: ``num_vars`` variables and ``lits``, a read-only (m, 3)
     int64 array of signed literals, one clause per row, each row three
-    distinct variables in 1..num_vars.  Equal when both fields are.
+    distinct variables in 1..num_vars.  Equal and hashed alike when both fields
+    are.  ``num_vars`` is a Python or numpy integer, kept as a Python int, and
+    ``lits`` integers by ``int64_array``'s rule; anything else raises CnfError.
 
     A repeated variable is refused: a duplicated literal degenerates the clause
     toward 2-SAT and an opposed pair makes it a tautology, and neither shape
@@ -71,15 +81,12 @@ class Cnf:
             raise CnfError(f"num_vars must be an integer, got {self.num_vars!r}")
         if self.num_vars < 1:
             raise CnfError(f"num_vars must be >= 1, got {self.num_vars}")
-        try:
-            lits = np.asarray(self.lits)
-        except ValueError:  # numpy refuses a ragged nesting
-            raise CnfError("clauses must have exactly 3 literals, got a ragged list") from None
-        lits = int64_array(lits, "literals")
+        rule = "clauses must have exactly 3 literals"
+        lits = int64_array(self.lits, "literals", 2, rule)
         if len(lits) < 1:
             raise CnfError("a CNF needs at least one clause")
-        if lits.ndim != 2 or lits.shape[1] != 3:
-            raise CnfError(f"clauses must have exactly 3 literals, got shape {lits.shape}")
+        if lits.shape[1] != 3:
+            raise CnfError(f"{rule}, got shape {lits.shape}")
         var = np.abs(lits)
         low = var.min()
         if low == 0:
@@ -94,6 +101,7 @@ class Cnf:
             variable = abs(int(lits.flat[((var < 1) | (var > self.num_vars)).argmax()]))
             raise CnfError(f"variable {variable} out of range (num_vars={self.num_vars})")
         lits.flags.writeable = False
+        object.__setattr__(self, "num_vars", int(self.num_vars))
         object.__setattr__(self, "lits", lits)
 
     @property
@@ -102,6 +110,7 @@ class Cnf:
 
     @cached_property
     def clauses(self) -> tuple[Clause, ...]:
+        """The rows of ``lits`` as ``Clause`` tuples, which the benchmark's check reads."""
         return tuple(map(Clause._make, self.lits.tolist()))
 
     def __eq__(self, other: object) -> bool:
@@ -132,10 +141,10 @@ def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF text into a validated 3-SAT instance.
 
     Accepts ``c`` comment lines, a single ``p cnf <n> <m>`` header, and clauses
-    as whitespace-separated signed ASCII decimal integers terminated by ``0``
-    (clauses may span lines).  A line starting with ``%`` ends the input, as in
-    the SATLIB ``uf*`` files.  Clause order is preserved.  All structural
-    errors report the offending line number via :class:`DimacsError`.
+    of whitespace-separated integers terminated by ``0`` (clauses may span
+    lines); every integer, header counts included, is ASCII ``[+-]?[0-9]+``.
+    A ``%`` line ends the input, as in the SATLIB ``uf*`` files.  Clause order
+    is preserved.  Every error names its line via :class:`DimacsError`.
 
     Text that opens with its header and then holds only clauses, each three
     literals and a ``0``, is read in one numpy pass; any other text, and any

@@ -11,7 +11,7 @@ scatters normally around the nominal target and may land anywhere, including
 the wrong window or the dead zone between windows.
 
 Write energy is the absolute difference in stored energy between the initial
-and final conductance, evaluated on a piecewise-linear curve and scaled by
+and final conductance, on a piecewise-linear curve from 0 uS, scaled by
 mean-one lognormal noise.  The default curve is a calibration artifact, not
 physics: its anchors put a nominal 20->70 uS swing at 2.8 nJ and a worst-case
 10->80 uS boundary swing at 9.5 nJ, and are configurable.
@@ -55,8 +55,9 @@ Every constant it reads that derives from the config comes from one tuple
 cached on the frozen ``DeviceConfig`` (``DeviceConfig._pulse``); the draws,
 conductance, sensed grid and ledger are read from the crossbar on every call.
 Each of its pulses is one ledger entry; the numpy pass is one
-``EnergyLedger.record_all`` call, which spans on ``program_cell`` and
-``EnergyLedger.record`` do not see.
+``EnergyLedger.record_all`` call, so counts taken on ``program_cell`` and
+``EnergyLedger.record`` (perfbench's ``device.*`` write figures) miss its
+pulses: the init writes of anneal-m40 and program-m200.
 """
 
 from __future__ import annotations
@@ -264,7 +265,8 @@ _outcome = partial(tuple.__new__, WriteOutcome)
 
 
 class EnergyLedger:
-    """Energy totals per kind: init, program and inference."""
+    """Energy totals per kind (init, program, inference); an entry that would
+    overflow one raises ValueError."""
 
     def __init__(self) -> None:
         self._totals = {"init": 0.0, "program": 0.0, "inference": 0.0}

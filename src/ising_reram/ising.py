@@ -33,11 +33,13 @@ class IsingGraph:
     """Node literals and an undirected edge list.  Nodes are clause-major: node i
     holds the signed literal ``lits[i]``, literal i % 3 of clause i // 3.
     ``edge_ends`` is the edge list as two read-only int64 arrays (u, v), u < v,
-    sorted by (u, v)."""
+    sorted by (u, v).  The literals and each edge-end array enter through
+    ``int64_array`` as 1-D integer arrays; any other raises CnfError."""
 
     def __init__(self, lits, edge_ends) -> None:
-        self.lits = int64_array(lits, "literals")
-        u, v = (int64_array(ends, "edge ends") for ends in edge_ends)
+        self.lits = int64_array(lits, "literals", 1, "literals must be one-dimensional")
+        u, v = (int64_array(ends, "edge ends", 1, "edge ends must be one-dimensional")
+                for ends in edge_ends)
         n = len(self.lits)
         if len(u) != len(v):
             raise ValueError(f"edge ends of unequal length {len(u)} and {len(v)}")

@@ -192,9 +192,10 @@ def compute_delta(
     The raw column readout recovers s_j * sum_i adj(i, j) * s_i; the exact
     energy change is then assembled digitally as
     delta_j = -(a_pen / 2) * (raw_j + s_j * deg_j) + b_pen * s_j.
-    Before the read, raises ValueError unless the spins fit the rows and none
-    is zero; they drive the rows in their own dtype, and the read's range
-    check refuses any other entry but -1 and +1.
+    Before the read, raises ValueError unless the spins fit the rows, none is
+    zero and ``degrees`` holds one entry per spin; the spins drive the rows
+    in their own dtype, and the read's range check refuses any other entry
+    but -1 and +1.
     """
     spins = np.asarray(spins)
     degrees = np.asarray(degrees, dtype=np.int64)
@@ -202,6 +203,8 @@ def compute_delta(
     if n > rows or nonzero != n:
         raise ValueError(f"need at most {rows} spins, each -1 or +1; "
                          f"got {n}, {n - nonzero} of them 0")
+    if degrees.shape != (n,):
+        raise ValueError(f"need {n} degrees, one per spin; got shape {degrees.shape}")
     drive = spins
     if n < rows:  # the unused rows are not driven
         drive = np.zeros(rows, dtype=spins.dtype)
@@ -305,7 +308,8 @@ def run(cnf: Cnf, device_config: DeviceConfig, solver_config: SolverConfig) -> R
     records an inference energy of 0.  The least cost is taken once per read
     and handed to q_unit's greedy test and select_flips' candidate test, so an
     iteration that flips nothing costs the q draw (one uniform) and one
-    comparison, with no pass over delta.  The spread of the previous
+    comparison, with no pass over delta.  No report field holds delta, and the
+    loop keeps only the last two reads' costs.  The spread of the previous
     iteration's costs, which scales q_unit's annealing temperature, is taken
     only on a non-greedy iteration and at most once per read.  The nodes whose
     pair misses its pattern start as ``map_problem``'s; a flip drops the

@@ -288,6 +288,15 @@ def test_cli_input_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert 'set {"device": {"rows": 3, "cols": 6}}' in err
+    # A config that is not JSON and a CNF file that is not UTF-8 are input errors too.
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{device: 1}")
+    latin = tmp_path / "latin.cnf"
+    latin.write_bytes("c caf\xe9\np cnf 3 1\n1 2 3 0\n".encode("latin-1"))
+    for argv in (["kernels", "--config", str(not_json)], ["solve", str(latin)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -185,6 +185,8 @@ def test_cnf_is_a_read_only_value():
     assert a != Cnf(6, a.lits[::-1]) and a != Cnf(7, a.lits)
     assert Cnf(6, a.lits.astype(np.int8)) == a
     assert Cnf(np.int64(6), a.lits) == a and emit_dimacs(Cnf(np.int64(6), a.lits)) == emit_dimacs(a)
+    numpy_int = Cnf(np.int64(6), a.lits)
+    assert type(numpy_int.num_vars) is int and hash(numpy_int) == hash(a)
     assert a.lits.shape == (5, 3) and a.lits.dtype == np.int64
     with pytest.raises(ValueError):
         a.lits[0, 0] = 4

@@ -1,4 +1,5 @@
 from collections import Counter
+import re
 
 import numpy as np
 import pytest
@@ -449,6 +450,23 @@ def test_graph_rejects_bad_edges_among_many_and_names_the_first():
 )
 def test_graph_takes_integers_within_int64_only(lits, ends, name, dtype):
     with pytest.raises(CnfError, match=f"^{name} must be integers within int64, got dtype {dtype}$"):
+        IsingGraph(lits, ends)
+
+
+@pytest.mark.parametrize(
+    "lits, ends, message",
+    [
+        (np.array([[1, 2, 3], [4, 5, 6]]), ([0], [1]),
+         "literals must be one-dimensional, got shape (2, 3)"),
+        ([1, 2, 3], ([[0]], [[1]]), "edge ends must be one-dimensional, got shape (1, 1)"),
+        (5, ([], []), "literals must be one-dimensional, got shape ()"),
+        ([[1, 2], [3]], ([], []), "literals must be one-dimensional, got a ragged list"),
+        ([1, 2, 3], ([0, [1]], [1, 2]), "edge ends must be one-dimensional, got a ragged list"),
+    ],
+    ids=["2-D-literals", "2-D-edge-ends", "scalar-literals", "ragged-literals", "ragged-edge-ends"],
+)
+def test_graph_takes_one_dimensional_arrays_only(lits, ends, message):
+    with pytest.raises(CnfError, match=f"^{re.escape(message)}$"):
         IsingGraph(lits, ends)
 
 

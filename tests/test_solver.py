@@ -353,6 +353,21 @@ def test_compute_delta_refuses_spins_not_unit_or_longer_than_rows(three_x, spins
     assert _totals(xb) == ledger
 
 
+@pytest.mark.parametrize("shape", [(5,), (7,), (1, 6), ()], ids=["short", "long", "2-D", "scalar"])
+def test_compute_delta_refuses_degrees_not_one_per_spin_before_the_read(three_x, shape):
+    device = DeviceConfig(rows=6, cols=12, p_cell_success=0.5)
+    g, adj, spins, xb = build_problem(three_x, seed=2, device=device)
+    _, _, _, twin = build_problem(three_x, seed=2, device=device)
+    message = f"need 6 degrees, one per spin; got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compute_delta(xb, spins, np.full(shape, 3), PARAMS)
+    assert _totals(xb) == _totals(twin) and np.array_equal(xb.conductance, twin.conductance)
+    # No read was booked: the next one reads what the twin's reads.
+    assert compute_delta(xb, spins, g.degrees, PARAMS).tolist() == \
+        compute_delta(twin, spins, g.degrees, PARAMS).tolist()
+    assert _totals(xb) == _totals(twin)
+
+
 def test_compute_delta_gives_the_same_costs_for_every_unit_spin_dtype(three_x):
     for device in (exact_device(), exact_device(rows=6, cols=12)):  # padded and pass-through
         g, adj, spins, xb = build_problem(three_x, seed=2, device=device)

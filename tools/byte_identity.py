@@ -20,7 +20,9 @@ that write misses fall on several flipped nodes of one iteration, a ``solve
 ``src/``.  Under ``configs`` it holds the sha256 of the ``to_dict()`` JSON of
 ``DeviceConfig()``, ``SolverConfig()`` and the configs the three m=40 solves
 load, so that a new config field shows even where its default changes no
-output.  A change is byte-identical when two checkouts give the same map:
+output.  A change is byte-identical when two checkouts give the same map;
+with the parent commit checked out beside this one (for example by ``git
+worktree add ../parent HEAD~1``):
 
     python3 tools/byte_identity.py --against ../parent
 
